@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's full verification gate.
 #
-#   ./ci.sh          # vet + build + race-enabled tests (includes the
+#   ./ci.sh          # gofmt + vet + build + race-enabled tests (includes the
 #                    # worker-count determinism regression)
 #   ./ci.sh -full    # additionally run the full-size Fig3a determinism
 #                    # check (minutes of branch-and-bound)
@@ -25,6 +25,14 @@ if [ "${1:-}" = "-full" ]; then
 	MODE=full
 fi
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "ci.sh: gofmt -l lists unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -38,15 +46,20 @@ else
 	go test -race -short -timeout 30m ./...
 fi
 
-# The solve service gets an extra race-enabled pass without -short (its
-# cancellation and shutdown tests are all quick) plus the sagserved smoke
-# self-test: ephemeral port, solve a tiny scenario twice, assert the second
-# answer is a byte-identical cache hit, shut down cleanly.
+# The solve service gets an extra race-enabled pass without -short. Its
+# end-to-end gates are ordinary tests: a byte-identical cache hit with the
+# trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,
+# TestResultDocCarriesTrace, TestMetricsPrometheusHistograms), the pinned
+# sagmetrics/6 key order, a seeded shed storm that sheds the same requests
+# on two fresh servers with zero solver work for shed jobs
+# (TestForcedShedIsTypedCountedAndA503), /healthz under a delay storm
+# (TestHealthzLiveUnderDelayStorm), bit-rotted journal quarantine
+# (TestJournalCorruptRecordQuarantined), a grid batch stream matching
+# individual solves (TestBatchGridStreamMatchesIndividualSolves), and a live
+# progress stream, flight record, dump and JSON log line
+# (TestProgressStreamLiveJob, TestFlightRecordAfterJob).
 echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
-
-echo "== sagserved -smoke"
-go run ./cmd/sagserved -smoke
 
 # Resilience gates. The chaos suite (build-tagged so it never runs by
 # accident) arms every registered fault-injection site with every failure
@@ -58,31 +71,6 @@ go test -race -tags faultinject -run Chaos -count=1 -timeout 20m ./internal/serv
 
 echo "== sagserved -smoke-recovery"
 go run ./cmd/sagserved -smoke-recovery
-
-# Overload gate: a seeded admission-fault storm must shed the same fixed
-# request indices on two fresh servers (determinism), shed jobs must cost
-# zero solver work with accepted answers byte-identical to an unloaded
-# server's, /healthz must stay under 100ms through a queue-saturating delay
-# storm, and a journaled server must quarantine a bit-rotted mid-file WAL
-# record on restart while restoring every intact job byte-identically.
-echo "== sagserved -smoke-overload"
-go run ./cmd/sagserved -smoke-overload
-
-# Batch gate: stream a seeded grid batch over NDJSON, then re-request every
-# cell through /v1/solve — each answer must be byte-identical to its streamed
-# line and cost zero further solver work (all cache hits), with the batch
-# counters and the sagmetrics/6 schema agreeing.
-echo "== sagserved -smoke-batch"
-go run ./cmd/sagserved -smoke-batch
-
-# Introspection gate: submit a live multi-zone solve, tail its NDJSON
-# progress stream (at least one mid-solve snapshot with a per-zone gap must
-# precede the terminal one), fetch the finished job's flight record with its
-# span tree and convergence curve, and match one captured JSON log line to
-# the job by its job_id correlation field. The disarmed progress hook is
-# additionally pinned at zero allocations by the milp benchmark suite.
-echo "== sagserved -smoke-progress"
-go run ./cmd/sagserved -smoke-progress
 
 # Performance gates for the branch-and-bound hot path. The pivot-regression
 # gate solves the pinned ILPQC benchmark instance and fails if the total
@@ -107,8 +95,8 @@ echo "== go test -race -run 'TestIncr' ./internal/incr/"
 go test -race -count=1 -run 'TestIncr' -timeout 20m ./internal/incr/
 
 # Observability gate: a traced sagcli solve must emit a span tree covering
-# every pipeline stage. (The Prometheus exposition grammar is gated inside
-# sagserved -smoke above.)
+# every pipeline stage. (The Prometheus exposition grammar is gated by
+# TestMetricsPrometheusHistograms in the serve pass above.)
 echo "== sagcli -trace-out"
 TRACEDIR=$(mktemp -d)
 trap 'rm -rf "$TRACEDIR"' EXIT

@@ -13,11 +13,10 @@
 //	sagserved -pprof-addr 127.0.0.1:6060        # net/http/pprof side server
 //	sagserved -rate 5 -burst 10                 # per-client rate limiting
 //	sagserved -log-format json -log-level debug # structured logs on stderr
-//	sagserved -smoke            # self-test: solve twice, assert cache hit
 //	sagserved -smoke-recovery   # self-test: kill -9 mid-solve, replay journal
-//	sagserved -smoke-overload   # self-test: shedding, breaker, journal checksums
-//	sagserved -smoke-batch      # self-test: grid batch stream, cache-hit replays
-//	sagserved -smoke-progress   # self-test: live progress stream, flight record
+//
+// The other end-to-end gates are go test cases in internal/serve; only the
+// kill -9 drill needs a real child process, so it alone is a binary mode.
 //
 // Logs go to stderr through log/slog with job_id/batch_id/client correlation
 // fields. The -pprof-addr side listener additionally serves the flight
@@ -30,29 +29,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling handlers for the -pprof-addr side server
 	"os"
 	"os/signal"
-	"regexp"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"sagrelay/internal/admit"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/obs"
-	"sagrelay/internal/scenario"
 	"sagrelay/internal/serve"
 )
 
@@ -87,15 +78,8 @@ func run(args []string) error {
 			"AIMD adaptive-concurrency ceiling (0 = the worker count)")
 		breakerThreshold = fs.Float64("breaker-threshold", 0,
 			"degrade circuit breaker bad-outcome fraction that trips heuristic-first mode (0 = default 0.5)")
-		smoke    = fs.Bool("smoke", false, "run the self-test (ephemeral port, solve twice, assert cache hit) and exit")
 		smokeRec = fs.Bool("smoke-recovery", false,
 			"run the crash-recovery self-test (kill -9 a child server mid-solve, replay its journal) and exit")
-		smokeOverload = fs.Bool("smoke-overload", false,
-			"run the overload-resilience self-test (deterministic shedding, healthz under storm, checksummed-journal recovery) and exit")
-		smokeBatch = fs.Bool("smoke-batch", false,
-			"run the batch-engine self-test (stream a seeded grid batch, byte-identical solo replays, batch counters) and exit")
-		smokeProgress = fs.Bool("smoke-progress", false,
-			"run the introspection self-test (tail a live progress stream, fetch the flight record, match a JSON log line) and exit")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		flightRec = fs.Int("flight-records", obs.DefaultFlightRecords,
@@ -136,20 +120,8 @@ func run(args []string) error {
 			BreakerThreshold: *breakerThreshold,
 		},
 	}
-	if *smoke {
-		return runSmoke(opts)
-	}
 	if *smokeRec {
 		return runSmokeRecovery(opts)
-	}
-	if *smokeOverload {
-		return runSmokeOverload(opts)
-	}
-	if *smokeBatch {
-		return runSmokeBatch(opts)
-	}
-	if *smokeProgress {
-		return runSmokeProgress(opts)
 	}
 
 	srv, err := serve.NewServer(opts)
@@ -227,194 +199,5 @@ func run(args []string) error {
 		return httpErr
 	}
 	logger.Info("shut down cleanly")
-	return nil
-}
-
-// runSmoke exercises the full service loop against itself on an ephemeral
-// port: submit a tiny scenario twice, assert the second answer is a
-// byte-identical cache hit with no extra solver work, then shut down
-// cleanly. CI runs this as the service's end-to-end gate.
-func runSmoke(opts serve.Options) error {
-	srv, err := serve.NewServer(opts)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	log.Printf("smoke: serving on %s", base)
-
-	sc, err := scenario.Generate(scenario.GenConfig{
-		FieldSide: 300, NumSS: 10, NumBS: 2, SNRdB: -15, Seed: 42,
-	})
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(serve.SolveRequest{Scenario: sc})
-	if err != nil {
-		return err
-	}
-
-	post := func() ([]byte, error) {
-		resp, err := http.Post(base+"/v1/solve?wait=1", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		doc, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("solve: %s: %s", resp.Status, doc)
-		}
-		return doc, nil
-	}
-
-	first, err := post()
-	if err != nil {
-		return fmt.Errorf("smoke first solve: %w", err)
-	}
-	second, err := post()
-	if err != nil {
-		return fmt.Errorf("smoke second solve: %w", err)
-	}
-	if !bytes.Equal(first, second) {
-		return fmt.Errorf("smoke: second response is not byte-identical to the first")
-	}
-
-	m := srv.MetricsSnapshot()
-	if m["cache_hits"] != 1 || m["cache_misses"] != 1 || m["solves"] != 1 {
-		return fmt.Errorf("smoke: expected 1 hit / 1 miss / 1 solve, got metrics %v", m)
-	}
-
-	if err := checkResultTrace(first); err != nil {
-		return fmt.Errorf("smoke trace: %w", err)
-	}
-	if err := checkPrometheus(base, m); err != nil {
-		return fmt.Errorf("smoke prometheus: %w", err)
-	}
-
-	// /healthz and /metrics must answer over HTTP too.
-	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return fmt.Errorf("smoke %s: %w", path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("smoke %s: %s", path, resp.Status)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("smoke http shutdown: %w", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("smoke server shutdown: %w", err)
-	}
-	log.Printf("smoke: ok (1 solve, 1 cache hit, byte-identical replay, trace + prometheus gates, clean shutdown)")
-	return nil
-}
-
-// spanDoc mirrors the serialized span tree for the smoke gate.
-type spanDoc struct {
-	Name  string            `json:"name"`
-	DurNS int64             `json:"dur_ns"`
-	Attrs map[string]string `json:"attrs"`
-	Spans []*spanDoc        `json:"spans"`
-}
-
-// checkResultTrace asserts the result document embeds a span tree covering
-// at least four distinct pipeline stages, each with a non-zero duration.
-func checkResultTrace(doc []byte) error {
-	var res struct {
-		Trace *spanDoc `json:"trace"`
-	}
-	if err := json.Unmarshal(doc, &res); err != nil {
-		return err
-	}
-	if res.Trace == nil {
-		return errors.New("result document has no trace")
-	}
-	stages := make(map[string]bool)
-	var walk func(*spanDoc) error
-	walk = func(s *spanDoc) error {
-		if s.DurNS <= 0 {
-			return fmt.Errorf("span %q has non-positive duration %d", s.Name, s.DurNS)
-		}
-		stages[s.Name] = true
-		for _, c := range s.Spans {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(res.Trace); err != nil {
-		return err
-	}
-	for _, want := range []string{"solve", "coverage", "connectivity", "connectivity_power"} {
-		if !stages[want] {
-			return fmt.Errorf("trace lacks pipeline stage %q (have %v)", want, stages)
-		}
-	}
-	if len(stages) < 4 {
-		return fmt.Errorf("trace has %d distinct span names, want >= 4", len(stages))
-	}
-	return nil
-}
-
-// checkPrometheus fetches /metrics?format=prometheus, grammar-checks every
-// line, requires at least five histograms, and cross-checks counter values
-// against the JSON snapshot.
-func checkPrometheus(base string, jsonVals map[string]int64) error {
-	resp, err := http.Get(base + "/metrics?format=prometheus")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s", resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	lineRE := regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9eE+.\-]+|)$`)
-	samples := make(map[string]float64)
-	histograms := 0
-	for _, line := range strings.Split(string(body), "\n") {
-		if !lineRE.MatchString(line) {
-			return fmt.Errorf("exposition line fails grammar: %q", line)
-		}
-		if strings.Contains(line, `_bucket{le="+Inf"}`) {
-			histograms++
-		}
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad sample in %q: %w", line, err)
-		}
-		samples[fields[0]] = v
-	}
-	if histograms < 5 {
-		return fmt.Errorf("exposition has %d histograms, want >= 5", histograms)
-	}
-	for _, key := range []string{"jobs_accepted", "jobs_completed", "cache_hits", "cache_misses", "solves"} {
-		if got, want := samples["sag_"+key], float64(jsonVals[key]); got != want {
-			return fmt.Errorf("sag_%s = %v, JSON snapshot says %v", key, got, want)
-		}
-	}
 	return nil
 }

@@ -183,8 +183,8 @@ func New(opts Options) *Controller {
 }
 
 // AllowClient applies per-client rate limiting. An empty client (internal
-// callers: replay, smoke harnesses, in-process tests) is never limited. The
-// returned error, if any, is a *RateLimitError.
+// callers: journal replay, in-process Submit callers and tests) is never
+// limited. The returned error, if any, is a *RateLimitError.
 func (c *Controller) AllowClient(client string) error {
 	if client == "" {
 		return nil

@@ -1,9 +1,10 @@
 package admit
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"sagrelay/internal/lru"
 )
 
 // RateLimiter is a per-client token-bucket limiter: each client key owns a
@@ -15,33 +16,24 @@ type RateLimiter struct {
 	rate  float64
 	burst float64
 
-	mu   sync.Mutex
-	max  int
-	ll   *list.List // front = most recently used
-	ents map[string]*list.Element
+	// mu serializes bucket updates; the LRU itself only bounds the table.
+	mu      sync.Mutex
+	buckets *lru.Cache[string, *bucket]
 }
 
 type bucket struct {
-	key    string
 	tokens float64
 	last   time.Time
 }
 
-// NewRateLimiter builds a limiter; rate <= 0 disables it (Allow always
-// admits).
+// NewRateLimiter builds a limiter holding at most maxClients buckets of
+// burst tokens each (both at least 1; Options.withDefaults supplies them);
+// rate <= 0 disables it (Allow always admits).
 func NewRateLimiter(rate float64, burst, maxClients int) *RateLimiter {
-	if burst < 1 {
-		burst = 1
-	}
-	if maxClients < 1 {
-		maxClients = 4096
-	}
 	return &RateLimiter{
-		rate:  rate,
-		burst: float64(burst),
-		max:   maxClients,
-		ll:    list.New(),
-		ents:  make(map[string]*list.Element),
+		rate:    rate,
+		burst:   float64(burst),
+		buckets: lru.New[string, *bucket](maxClients),
 	}
 }
 
@@ -54,18 +46,10 @@ func (l *RateLimiter) Allow(key string, now time.Time) (retryAfter time.Duration
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var b *bucket
-	if el, found := l.ents[key]; found {
-		l.ll.MoveToFront(el)
-		b = el.Value.(*bucket)
-	} else {
-		b = &bucket{key: key, tokens: l.burst, last: now}
-		l.ents[key] = l.ll.PushFront(b)
-		for l.ll.Len() > l.max {
-			oldest := l.ll.Back()
-			l.ll.Remove(oldest)
-			delete(l.ents, oldest.Value.(*bucket).key)
-		}
+	b, found := l.buckets.Get(key)
+	if !found {
+		b = &bucket{tokens: l.burst, last: now}
+		l.buckets.Add(key, b)
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens += dt * l.rate

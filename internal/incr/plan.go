@@ -144,8 +144,8 @@ func (s *Stores) seederFor(base, mutated *scenario.Scenario, baseZones, dirty []
 			continue
 		}
 		key := lower.ZoneKeyILP(base, baseZones[best], method, opts.ILP)
-		if v, ok := s.zones.get(key); ok {
-			seeds[zoneSig(z)] = v.(*lower.ZoneEntry)
+		if e, ok := s.zones.Get(key); ok {
+			seeds[zoneSig(z)] = e
 		}
 	}
 	if len(seeds) == 0 {

@@ -1,12 +1,10 @@
 package incr
 
 import (
-	"container/list"
-	"sync"
-
 	"sagrelay/internal/core"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/lower"
+	"sagrelay/internal/lru"
 )
 
 // Stores bundles the three zone-level content-addressed LRUs that make
@@ -17,11 +15,12 @@ import (
 //	upper — whole connectivity-stage results (core.UpperEntry)
 //
 // One Stores instance is shared by every job of a server; all three LRUs
-// are safe for concurrent use.
+// are safe for concurrent use, and the first entry stored under a key wins,
+// so two jobs racing on one key never observe two different entries for it.
 type Stores struct {
-	zones *lruStore
-	power *lruStore
-	upper *lruStore
+	zones *lru.Cache[string, *lower.ZoneEntry]
+	power *lru.Cache[string, []float64]
+	upper *lru.Cache[string, *core.UpperEntry]
 }
 
 // NewStores sizes each store to maxEntries (0 means 1024).
@@ -30,9 +29,9 @@ func NewStores(maxEntries int) *Stores {
 		maxEntries = 1024
 	}
 	return &Stores{
-		zones: newLRUStore(maxEntries),
-		power: newLRUStore(maxEntries),
-		upper: newLRUStore(maxEntries),
+		zones: lru.New[string, *lower.ZoneEntry](maxEntries),
+		power: lru.New[string, []float64](maxEntries),
+		upper: lru.New[string, *core.UpperEntry](maxEntries),
 	}
 }
 
@@ -63,7 +62,7 @@ func (s *Stores) WireFast(cfg *core.Config, seed lower.ZoneSeed) {
 // zoneAdapter implements lower.ZoneCache over the zone store, carrying the
 // incr.zone fault-injection site and the reuse/resolve counters.
 type zoneAdapter struct {
-	s        *lruStore
+	s        *lru.Cache[string, *lower.ZoneEntry]
 	readOnly bool
 }
 
@@ -71,12 +70,12 @@ func (a *zoneAdapter) Get(key string) (*lower.ZoneEntry, bool, error) {
 	if err := fault.Check(siteZone); err != nil {
 		return nil, false, err
 	}
-	v, ok := a.s.get(key)
+	e, ok := a.s.Get(key)
 	if !ok {
 		return nil, false, nil
 	}
 	zonesReused.Add(1)
-	return v.(*lower.ZoneEntry), true, nil
+	return e, true, nil
 }
 
 func (a *zoneAdapter) Put(key string, e *lower.ZoneEntry) {
@@ -86,109 +85,44 @@ func (a *zoneAdapter) Put(key string, e *lower.ZoneEntry) {
 	if e.Truncated || a.readOnly {
 		return
 	}
-	a.s.put(key, e)
+	a.s.Add(key, e)
 }
 
 // powerAdapter implements lower.ZonePowerCache over the power store.
 type powerAdapter struct {
-	s        *lruStore
+	s        *lru.Cache[string, []float64]
 	readOnly bool
 }
 
 func (a *powerAdapter) GetPower(key string) ([]float64, bool) {
-	v, ok := a.s.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]float64), true
+	return a.s.Get(key)
 }
 
 func (a *powerAdapter) PutPower(key string, powers []float64) {
 	if a.readOnly {
 		return
 	}
-	a.s.put(key, powers)
+	a.s.Add(key, powers)
 }
 
 // upperAdapter implements core.UpperCache over the upper store.
 type upperAdapter struct {
-	s        *lruStore
+	s        *lru.Cache[string, *core.UpperEntry]
 	readOnly bool
 }
 
 func (a *upperAdapter) Get(key string) (*core.UpperEntry, bool) {
-	v, ok := a.s.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*core.UpperEntry), true
+	return a.s.Get(key)
 }
 
 func (a *upperAdapter) Put(key string, e *core.UpperEntry) {
 	if a.readOnly {
 		return
 	}
-	a.s.put(key, e)
-}
-
-// lruStore is a mutex-guarded LRU map (the same container/list shape as the
-// solve service's whole-result cache). First put wins: a concurrent
-// duplicate insert keeps the existing value, so two jobs racing on the same
-// key can never observe two different entries for it.
-type lruStore struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recent
-}
-
-type lruItem struct {
-	key string
-	val any
-}
-
-func newLRUStore(max int) *lruStore {
-	return &lruStore{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-	}
-}
-
-func (c *lruStore) get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
-}
-
-func (c *lruStore) put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		_ = el // first put is authoritative; keep the existing value
-		return
-	}
-	c.entries[key] = c.order.PushFront(&lruItem{key: key, val: val})
-	for c.order.Len() > c.max {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.entries, back.Value.(*lruItem).key)
-	}
-}
-
-func (c *lruStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	a.s.Add(key, e)
 }
 
 // Len returns (zones, power, upper) entry counts, for metrics.
 func (s *Stores) Len() (zones, power, upper int) {
-	return s.zones.len(), s.power.len(), s.upper.len()
+	return s.zones.Len(), s.power.Len(), s.upper.Len()
 }

@@ -139,6 +139,19 @@ func (r *Registry) Histograms() []*Histogram {
 	return out
 }
 
+// Each calls fn with the name and current value of every registered counter
+// and gauge, in registration order; histograms are skipped.
+func (r *Registry) Each(fn func(name string, value int64)) {
+	r.mu.Lock()
+	ms := append([]metric(nil), r.metrics...)
+	r.mu.Unlock()
+	for _, m := range ms {
+		if m.fn != nil {
+			fn(m.name, m.fn())
+		}
+	}
+}
+
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), metrics sorted by name, histogram
 // buckets cumulative.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"sync"
@@ -97,6 +98,14 @@ func TestWritePrometheusGrammar(t *testing.T) {
 	idxTotal := strings.Index(out, "# HELP sag_test_total")
 	if !(idxGauge < idxSeconds && idxSeconds < idxTotal) {
 		t.Fatalf("metrics not sorted by name:\n%s", out)
+	}
+
+	// Each walks counters and gauges in registration order, not name order,
+	// and skips histograms.
+	var each []string
+	r.Each(func(name string, v int64) { each = append(each, fmt.Sprintf("%s=%d", name, v)) })
+	if got := strings.Join(each, " "); got != "sag_test_total=42 sag_test_gauge=-3" {
+		t.Errorf("Each = %q, want registration order without the histogram", got)
 	}
 }
 

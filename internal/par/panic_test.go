@@ -16,10 +16,15 @@ func TestPoolPanicIsolation(t *testing.T) {
 
 	var mu sync.Mutex
 	var caught []*fault.PanicError
+	handled := make(chan struct{}, 1)
 	p.SetPanicHandler(func(pe *fault.PanicError) {
 		mu.Lock()
 		caught = append(caught, pe)
 		mu.Unlock()
+		select {
+		case handled <- struct{}{}:
+		default: // a second call is reported by the count check below
+		}
 	})
 
 	before := fault.RecoveredPanics()
@@ -35,6 +40,13 @@ func TestPoolPanicIsolation(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	// The survivors can all finish on the other worker before the panicking
+	// one has run the handler, so wait for the handler itself.
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("panic handler never called")
+	}
 
 	if got := ran.Load(); got != 4 {
 		t.Fatalf("tasks after panic ran %d times, want 4", got)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -106,26 +107,41 @@ func TestRateLimitHTTPRetryAfterAndBody(t *testing.T) {
 	if ra := second.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 response has no Retry-After header")
 	}
-	var doc errorEnvelope
-	if err := json.NewDecoder(second.Body).Decode(&doc); err != nil {
-		t.Fatalf("429 body not an error envelope: %v", err)
-	}
+	doc := decodeErrorEnvelope(t, second.Body)
 	if doc.Error.Code != CodeRateLimited {
 		t.Errorf("error.code = %q, want rate_limited", doc.Error.Code)
 	}
 	if doc.Error.RetryAfterS <= 0 {
 		t.Errorf("error.retry_after_s = %v, want > 0", doc.Error.RetryAfterS)
 	}
-	// The pre-v5 top-level fields ride along as deprecated aliases.
-	if doc.Reason != "rate_limited" {
-		t.Errorf("reason alias = %q, want rate_limited", doc.Reason)
+	if c, _ := doc.Error.Details["queue_capacity"].(float64); c <= 0 {
+		t.Errorf("error.details.queue_capacity = %v, want > 0", doc.Error.Details["queue_capacity"])
 	}
-	if doc.QueueCapacity <= 0 {
-		t.Errorf("queue_capacity alias = %d, want > 0", doc.QueueCapacity)
+}
+
+// decodeErrorEnvelope decodes an HTTP error body and requires "error" to be
+// its only top-level key: the pre-v5 aliases (reason, field, queue_depth,
+// queue_capacity, retry_after_ms) are gone from the wire.
+func decodeErrorEnvelope(t *testing.T, body io.Reader) errorEnvelope {
+	t.Helper()
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if doc.RetryAfterMS <= 0 {
-		t.Errorf("retry_after_ms alias = %d, want > 0", doc.RetryAfterMS)
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatalf("error body not JSON: %v: %s", err, raw)
 	}
+	for key := range top {
+		if key != "error" {
+			t.Errorf("error body has top-level key %q besides error: %s", key, raw)
+		}
+	}
+	var doc errorEnvelope
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("error body not an error envelope: %v", err)
+	}
+	return doc
 }
 
 func TestForcedShedIsTypedCountedAndA503(t *testing.T) {
@@ -160,16 +176,80 @@ func TestForcedShedIsTypedCountedAndA503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 shed response has no Retry-After header")
 	}
-	var doc errorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("503 body not an error envelope: %v", err)
-	}
-	if doc.Error.Code != CodeShed {
+	if doc := decodeErrorEnvelope(t, resp.Body); doc.Error.Code != CodeShed {
 		t.Errorf("error.code = %q, want shed", doc.Error.Code)
 	}
-	if doc.Reason != "shed" {
-		t.Errorf("reason alias = %q, want shed", doc.Reason)
+
+	// A seeded shed storm is a function of (spec, seed, submission order),
+	// not of timing: two fresh servers shed exactly the same indices.
+	if first, second := shedStormFingerprint(t), shedStormFingerprint(t); first != second {
+		t.Errorf("shed pattern not deterministic: run 1 shed [%s], run 2 shed [%s]", first, second)
 	}
+
+	// Shed jobs never reach the solver, and once the storm lifts the same
+	// server answers exactly like an unloaded one (modulo the trace).
+	gac := SolveOptions{Coverage: "GAC"}
+	before := s.MetricsSnapshot()
+	armFault(t, "admit.shed=error:p=1")
+	for i := 0; i < 6; i++ {
+		_, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, int64(600+i)), Options: gac})
+		if !errors.As(err, &shed) {
+			t.Fatalf("submit %d under p=1 shedding: err = %v, want *admit.ShedError", i, err)
+		}
+	}
+	fault.Disable()
+	after := s.MetricsSnapshot()
+	for _, key := range []string{"bb_nodes_total", "solves"} {
+		if d := after[key] - before[key]; d != 0 {
+			t.Errorf("shed jobs moved %s by %d, want 0", key, d)
+		}
+	}
+	// The default pipeline has no wall-clock limits, so a loaded test host
+	// cannot degrade either answer.
+	stormed := submitAndWait(t, s, distinctScenario(t, 699), SolveOptions{})
+	unloaded := submitAndWait(t, newTestServer(t, Options{Workers: 2}), distinctScenario(t, 699), SolveOptions{})
+	a, stateA := stormed.resultBytes()
+	b, stateB := unloaded.resultBytes()
+	if stateA != StateDone || stateB != StateDone {
+		t.Fatalf("post-storm solves ended %v and %v, want done", stateA, stateB)
+	}
+	if !bytes.Equal(stripTrace(t, a), stripTrace(t, b)) {
+		t.Error("post-storm result differs from the unloaded server's")
+	}
+}
+
+// shedStormFingerprint runs a seeded p=0.4 admit.shed storm of 24 distinct
+// submissions on a fresh server, waits out the accepted jobs, and returns
+// the shed submission indices, e.g. "2,3,7,11".
+func shedStormFingerprint(t *testing.T) string {
+	t.Helper()
+	s := newTestServer(t, Options{Workers: 2})
+	armFault(t, "admit.shed=error:p=0.4")
+	defer fault.Disable()
+	var shed []string
+	var jobs []*Job
+	for i := 0; i < 24; i++ {
+		job, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, int64(500+i))})
+		var se *admit.ShedError
+		switch {
+		case err == nil:
+			jobs = append(jobs, job)
+		case errors.As(err, &se):
+			shed = append(shed, strconv.Itoa(i))
+		default:
+			t.Fatalf("storm submit %d: %v", i, err)
+		}
+	}
+	if len(shed) == 0 || len(jobs) == 0 {
+		t.Fatalf("degenerate storm: %d shed, %d accepted", len(shed), len(jobs))
+	}
+	if got := s.MetricsSnapshot()["jobs_shed_total"]; got != int64(len(shed)) {
+		t.Errorf("jobs_shed_total = %d, want %d", got, len(shed))
+	}
+	for _, j := range jobs {
+		waitDone(t, j, 60*time.Second)
+	}
+	return strings.Join(shed, ",")
 }
 
 func TestOrganicShedOnImpossibleDeadline(t *testing.T) {
@@ -180,7 +260,7 @@ func TestOrganicShedOnImpossibleDeadline(t *testing.T) {
 	// this size, so the learned mean safely dwarfs the 1ms deadline below.
 	for i := 0; i < 3; i++ {
 		job, err := s.Submit(SolveRequest{
-			Scenario: distinctScenario(t, int64(320 + i)),
+			Scenario: distinctScenario(t, int64(320+i)),
 			Options:  SolveOptions{Coverage: "GAC"},
 		})
 		if err != nil {
@@ -234,7 +314,7 @@ func TestBreakerLifecycleEndToEnd(t *testing.T) {
 	armFault(t, "milp.node=error:p=1")
 	for i := 0; i < 2; i++ {
 		job, err := s.Submit(SolveRequest{
-			Scenario: distinctScenario(t, int64(340 + i)),
+			Scenario: distinctScenario(t, int64(340+i)),
 			Options:  SolveOptions{Coverage: "GAC"},
 		})
 		if err != nil {
@@ -342,7 +422,7 @@ func TestJournalCorruptRecordQuarantined(t *testing.T) {
 	// never be mistaken for a torn tail.
 	docs := map[string][]byte{}
 	for i := 0; i < 2; i++ {
-		job, err := s1.Submit(SolveRequest{Scenario: distinctScenario(t, int64(360 + i))})
+		job, err := s1.Submit(SolveRequest{Scenario: distinctScenario(t, int64(360+i))})
 		if err != nil {
 			t.Fatal(err)
 		}

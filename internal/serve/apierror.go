@@ -2,9 +2,9 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"sagrelay/internal/admit"
 	"sagrelay/internal/scenario"
@@ -16,14 +16,14 @@ import (
 // mapping status codes themselves (two codes can share a status: shed and
 // shutting_down are both 503). The README's error-code table documents each.
 const (
-	CodeBadRequest   = "bad_request"    // 400: malformed JSON, invalid scenario or options
-	CodeBadDelta     = "bad_delta"      // 400: malformed delta or unknown entity in /v1/resolve
-	CodeBatchLimit   = "batch_limit"    // 400: batch expands past the server's item bound
-	CodeNotFound     = "not_found"      // 404: unknown job, batch, or resolve base
-	CodeRateLimited  = "rate_limited"   // 429: per-client token bucket exhausted
-	CodeQueueFull    = "queue_full"     // 429: job queue backpressure
-	CodeShed         = "shed"           // 503: deadline-aware load shedding
-	CodeShuttingDown = "shutting_down"  // 503: graceful shutdown in progress
+	CodeBadRequest    = "bad_request"   // 400: malformed JSON, invalid scenario or options
+	CodeBadDelta      = "bad_delta"     // 400: malformed delta or unknown entity in /v1/resolve
+	CodeBatchLimit    = "batch_limit"   // 400: batch expands past the server's item bound
+	CodeNotFound      = "not_found"     // 404: unknown job, batch, or resolve base
+	CodeRateLimited   = "rate_limited"  // 429: per-client token bucket exhausted
+	CodeQueueFull     = "queue_full"    // 429: job queue backpressure
+	CodeShed          = "shed"          // 503: deadline-aware load shedding
+	CodeShuttingDown  = "shutting_down" // 503: graceful shutdown in progress
 	CodeUnprocessable = "unprocessable" // 422: job finished without a result document
 
 	// Batch stream-only codes: these appear inline on per-item NDJSON lines
@@ -51,21 +51,9 @@ type APIError struct {
 }
 
 // errorEnvelope is the JSON document of every HTTP error response:
-// {"error":{"code","message","retry_after_s","details"}} plus the pre-v5
-// top-level fields kept as deprecated aliases for one release (the old
-// string-valued "error" key is gone — its text now lives at error.message).
+// {"error":{"code","message","retry_after_s","details"}}.
 type errorEnvelope struct {
 	Error APIError `json:"error"`
-
-	// Deprecated: reason duplicated error.code for overload rejections.
-	Reason string `json:"reason,omitempty"`
-	// Deprecated: field duplicated error.details.field for validation errors.
-	Field string `json:"field,omitempty"`
-	// Deprecated: queue state now lives under error.details.
-	QueueDepth    int `json:"queue_depth,omitempty"`
-	QueueCapacity int `json:"queue_capacity,omitempty"`
-	// Deprecated: retry_after_ms duplicated error.retry_after_s.
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
 // apiError classifies err into its envelope body and HTTP status. It is the
@@ -121,42 +109,27 @@ func isOverloadCode(code string) bool {
 }
 
 // writeAPIError writes the unified envelope for err. Overload codes gain
-// queue state in details, the deprecated top-level aliases, and a
-// Retry-After header (whole seconds, rounded up, at least 1 — the header
-// does not admit finer precision).
+// queue state in details and a Retry-After header (whole seconds, rounded
+// up, at least 1 — the header does not admit finer precision).
 func (s *Server) writeAPIError(w http.ResponseWriter, err error) {
 	status, body := apiError(err)
 	s.writeAPIErrorBody(w, status, body)
 }
 
-// writeAPIErrorBody finishes an already-classified error: alias fields and
+// writeAPIErrorBody finishes an already-classified error: queue state and
 // the Retry-After header derive from the body, never from the caller.
 func (s *Server) writeAPIErrorBody(w http.ResponseWriter, status int, body APIError) {
-	env := errorEnvelope{Error: body}
-	if f, ok := body.Details["field"].(string); ok {
-		env.Field = f
-	}
 	if isOverloadCode(body.Code) {
-		depth, capacity := s.pool.Len(), s.pool.Cap()
 		if body.Details == nil {
 			body.Details = map[string]any{}
 		}
-		body.Details["queue_depth"] = depth
-		body.Details["queue_capacity"] = capacity
-		env.Error = body
-		env.Reason = body.Code
-		env.QueueDepth = depth
-		env.QueueCapacity = capacity
-		retry := time.Duration(body.RetryAfterS * float64(time.Second))
-		if retry <= 0 {
-			retry = time.Second
-		}
-		env.RetryAfterMS = retry.Milliseconds()
-		secs := int64((retry + time.Second - 1) / time.Second)
+		body.Details["queue_depth"] = s.pool.Len()
+		body.Details["queue_capacity"] = s.pool.Cap()
+		secs := int64(math.Ceil(body.RetryAfterS))
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, status, env)
+	writeJSON(w, status, errorEnvelope{Error: body})
 }

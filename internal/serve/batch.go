@@ -283,8 +283,8 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		p := &preps[i]
 		plans[i].key = requestKey(p.sc, opts)
 		plans[i].hash = p.sc.CanonicalHash()
-		s.scenarios.put(plans[i].hash, p.sc)
-		plans[i].doc, plans[i].hit = s.cache.get(plans[i].key)
+		s.scenarios.Add(plans[i].hash, p.sc)
+		plans[i].doc, plans[i].hit = s.cache.Get(plans[i].key)
 		if plans[i].hit {
 			continue // free: never shed a cache hit
 		}

@@ -100,8 +100,8 @@ func (s *Server) recordShed(outcome, client, errMsg string) {
 	})
 }
 
-// FlightRecorder exposes the server's flight ring (for the debug listener
-// and smoke tests).
+// FlightRecorder exposes the server's flight ring (for the SIGQUIT dump,
+// the recovery self-test and tests).
 func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
 
 // FlightHandler serves GET /debug/flight and /debug/flight/{id}; mount it

@@ -32,8 +32,7 @@ import (
 //	                             text exposition with histograms)
 //
 // Every non-2xx JSON answer is the unified error envelope
-// {"error":{"code","message","retry_after_s","details"}} (see apierror.go;
-// pre-v5 top-level overload fields ride along as deprecated aliases).
+// {"error":{"code","message","retry_after_s","details"}} (see apierror.go).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -220,13 +219,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, s.snapshotDoc())
+		writeJSON(w, http.StatusOK, metricsDoc{s.series})
 	case "prometheus":
 		// Two registries, one exposition: the per-server counters first,
 		// then the process-wide solver histograms (zone solve time, B&B
 		// nodes, LP pivots, job latency, queue wait).
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.prom.WritePrometheus(w)
+		_ = s.series.WritePrometheus(w)
 		_ = obs.Default.WritePrometheus(w)
 	default:
 		s.writeAPIErrorBody(w, http.StatusBadRequest, APIError{

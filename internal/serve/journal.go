@@ -63,8 +63,8 @@ type jrec struct {
 // bad FINAL line is a torn tail (the one partial write a crash can leave)
 // and is dropped silently; a bad MID-FILE line is bit rot or tampering —
 // the record is quarantined (skipped and counted) while every verifiable
-// record around it is restored. Legacy lines that start with '{' (written
-// before checksumming) are accepted on their JSON alone.
+// record around it is restored. A line without a checksum prefix fails
+// verification like any other damaged line.
 type journal struct {
 	dir string
 
@@ -108,23 +108,19 @@ func encodeLine(r *jrec) ([]byte, error) {
 	return line, nil
 }
 
-// parseJournalLine verifies and decodes one journal line. Checksummed lines
-// are "%08x <json>"; legacy lines start with '{' and carry no checksum.
+// parseJournalLine verifies and decodes one "%08x <json>" journal line.
 func parseJournalLine(line []byte) (jrec, bool) {
 	var r jrec
-	js := line
-	if len(line) > 0 && line[0] != '{' {
-		if len(line) < 10 || line[8] != ' ' {
-			return r, false
-		}
-		var sum uint32
-		if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
-			return r, false
-		}
-		js = line[9:]
-		if crc32.Checksum(js, crcTable) != sum {
-			return r, false
-		}
+	if len(line) < 10 || line[8] != ' ' {
+		return r, false
+	}
+	var sum uint32
+	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
+		return r, false
+	}
+	js := line[9:]
+	if crc32.Checksum(js, crcTable) != sum {
+		return r, false
 	}
 	if err := json.Unmarshal(js, &r); err != nil || r.T == "" || r.ID == "" {
 		return jrec{}, false

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"strconv"
+	"strings"
 	"sync/atomic"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/core"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/incr"
@@ -11,65 +12,17 @@ import (
 	"sagrelay/internal/obs"
 )
 
-// Metrics holds the service's expvar-style counters: monotonically
-// increasing atomics read without locks, published as one JSON document by
-// the /metrics endpoint. Counters are process-lifetime; there is no reset.
+// Metrics holds the service's own counters: monotonically increasing
+// atomics read without locks. Each is published by metricsRegistry, whose
+// help text documents it; SolveMicros/Solves is the mean solve latency.
+// Counters are process-lifetime; there is no reset.
 type Metrics struct {
-	// JobsAccepted counts solve submissions admitted to the queue
-	// (cache hits included — they are accepted work, just free).
-	JobsAccepted atomic.Int64
-	// JobsRejected counts submissions refused with backpressure (queue
-	// full) or during shutdown.
-	JobsRejected atomic.Int64
-	// JobsCompleted counts jobs that finished with a result document.
-	JobsCompleted atomic.Int64
-	// JobsFailed counts jobs that ended in a non-cancellation error.
-	JobsFailed atomic.Int64
-	// JobsCancelled counts jobs ended by deadline, client cancel or
-	// shutdown.
-	JobsCancelled atomic.Int64
-	// JobsPanicked counts jobs whose solve panicked; each is also counted
-	// in JobsFailed (the panic fails the job, never the process).
-	JobsPanicked atomic.Int64
-	// JobsDegraded counts completed jobs whose solution used a heuristic
-	// fallback for at least one pipeline stage.
-	JobsDegraded atomic.Int64
-	// JobsShed counts submissions rejected by deadline-aware load shedding
-	// (estimated queue wait + solve exceeded the job's deadline), before
-	// they consumed a queue slot.
-	JobsShed atomic.Int64
-	// RateLimited counts submissions rejected by per-client rate limiting.
-	RateLimited atomic.Int64
-	// BatchesTotal counts accepted POST /v1/batch submissions;
-	// BatchItemsTotal the items they expanded to (accepted jobs plus
-	// rejections), and BatchItemsShed the items refused individually by
-	// deadline-aware shedding while the rest of their batch proceeded.
-	BatchesTotal, BatchItemsTotal, BatchItemsShed atomic.Int64
-	// CacheHits and CacheMisses count result-cache lookups at submit time.
-	CacheHits, CacheMisses atomic.Int64
-	// Resolves counts accepted /v1/resolve submissions (before queueing; a
-	// resolve that turns out to be a whole-result cache hit still counts).
-	Resolves atomic.Int64
-	// SolveMicros accumulates wall-clock solver time (cache hits excluded),
-	// and Solves the number of solves it spans, so mean latency is
-	// SolveMicros/Solves.
-	SolveMicros atomic.Int64
-	Solves      atomic.Int64
-	// JournalErrors counts journal append/compact/result-file failures;
-	// they never fail the job, only this counter.
-	JournalErrors atomic.Int64
-	// JournalRestored counts jobs restored to a terminal state from the
-	// journal at startup, and JournalReplayed counts journaled jobs the
-	// previous process never finished that were re-submitted for solving.
-	JournalRestored, JournalReplayed atomic.Int64
-	// JournalCorrupt counts mid-file journal records quarantined at startup
-	// because their CRC32C checksum (or JSON) did not verify. A torn final
-	// line — the one partial write a crash can leave — is not corruption
-	// and is not counted.
-	JournalCorrupt atomic.Int64
-	// ProgressStreams counts opened GET /v1/jobs/{id}/progress?stream=1
-	// live tails (lifetime total, not currently open).
-	ProgressStreams atomic.Int64
+	JobsAccepted, JobsRejected, JobsCompleted, JobsFailed, JobsCancelled atomic.Int64
+	JobsPanicked, JobsDegraded, JobsShed, RateLimited                    atomic.Int64
+	BatchesTotal, BatchItemsTotal, BatchItemsShed                        atomic.Int64
+	CacheHits, CacheMisses, Resolves, SolveMicros, Solves                atomic.Int64
+	JournalErrors, JournalRestored, JournalReplayed, JournalCorrupt      atomic.Int64
+	ProgressStreams                                                      atomic.Int64
 }
 
 // metricsSchema versions the /metrics JSON document. Bump it when keys are
@@ -79,187 +32,86 @@ type Metrics struct {
 //	sagmetrics/1  (implicit) the PR-3 document, no schema field
 //	sagmetrics/2  schema field added; Prometheus exposition at
 //	              /metrics?format=prometheus serves the same counters
-//	sagmetrics/3  incremental re-solve keys added: incr_resolves,
-//	              incr_zones_reused_total, incr_zones_resolved_total,
-//	              zone_cache_entries
-//	sagmetrics/4  admission-control keys added: jobs_shed_total,
-//	              rate_limited_total, breaker_state, breaker_trips_total,
-//	              inflight_limit, journal_corrupt_records
-//	sagmetrics/5  batch keys added: batches_total, batch_items_total,
-//	              batch_items_shed
-//	sagmetrics/6  introspection keys added: job_queue_depth and
-//	              flight_records gauges, progress_streams_total counter
+//	sagmetrics/3  incremental re-solve keys added (resolves, zone reuse
+//	              and re-solve totals, zone store size)
+//	sagmetrics/4  admission-control keys added (shedding, rate limiting,
+//	              breaker state and trips, AIMD limit, journal corruption)
+//	sagmetrics/5  batch keys added (batches, their items, shed items)
+//	sagmetrics/6  introspection keys added (queue depth and flight ring
+//	              gauges, opened progress streams)
 const metricsSchema = "sagmetrics/6"
 
-// metricsDoc is the JSON shape served by /metrics. Field order is the wire
-// order (encoding/json preserves struct order), so keys appear in a stable,
-// documented sequence: schema first, then counters grouped by subsystem.
-type metricsDoc struct {
-	Schema        string `json:"schema"`
-	JobsAccepted  int64  `json:"jobs_accepted"`
-	JobsRejected  int64  `json:"jobs_rejected"`
-	JobsCompleted int64  `json:"jobs_completed"`
-	JobsFailed    int64  `json:"jobs_failed"`
-	JobsCancelled int64  `json:"jobs_cancelled"`
-	JobsPanicked  int64  `json:"jobs_panicked"`
-	JobsDegraded  int64  `json:"jobs_degraded"`
-	// JobsShed and RateLimited are admission-control rejections (neither
-	// consumed a queue slot); BreakerState is a gauge (0 closed, 1 open =
-	// heuristic-first, 2 half-open probe) and InflightLimit the AIMD
-	// limiter's current concurrency ceiling.
-	JobsShed      int64  `json:"jobs_shed_total"`
-	RateLimited   int64  `json:"rate_limited_total"`
-	// The batch counters: batches accepted, the items they expanded to, and
-	// the items individually refused by shedding (batch survives).
-	BatchesTotal   int64 `json:"batches_total"`
-	BatchItemsTot  int64 `json:"batch_items_total"`
-	BatchItemsShed int64 `json:"batch_items_shed"`
-	BreakerState  int64  `json:"breaker_state"`
-	BreakerTrips  int64  `json:"breaker_trips_total"`
-	InflightLimit int64  `json:"inflight_limit"`
-	CacheHits     int64  `json:"cache_hits"`
-	CacheMisses   int64  `json:"cache_misses"`
-	CacheEntries  int    `json:"cache_entries"`
-	// Resolves counts accepted /v1/resolve submissions; the two incr zone
-	// counters are process-wide (internal/incr): a reuse is a zone coverage
-	// solution spliced from the zone store, a resolve a zone actually solved.
-	Resolves          int64 `json:"incr_resolves"`
-	IncrZonesReused   int64 `json:"incr_zones_reused_total"`
-	IncrZonesResolved int64 `json:"incr_zones_resolved_total"`
-	// ZoneCacheEntries is the current zone-placement store size (the
-	// coverage-level store; power and upper stores are bounded alike).
-	ZoneCacheEntries int   `json:"zone_cache_entries"`
-	SolveMicros      int64 `json:"solve_micros_total"`
-	Solves           int64 `json:"solves"`
-	// BBNodes is the process-wide branch-and-bound node count from
-	// internal/milp — the solver-effort odometer behind ILP requests.
-	BBNodes int64 `json:"bb_nodes_total"`
-	// PanicsRecovered is the process-wide count of panics converted into
-	// errors (internal/fault) — job solves plus pool-level recoveries.
-	PanicsRecovered int64 `json:"panics_recovered"`
-	// SolverRetries and SolverFallbacks are the process-wide degradation
-	// ladder odometers from internal/core.
-	SolverRetries   int64 `json:"solver_retries_total"`
-	SolverFallbacks int64 `json:"solver_fallbacks_total"`
-	// FaultsInjected counts fired fault-injection rules (0 in production).
-	FaultsInjected  int64 `json:"faults_injected_total"`
-	JournalErrors   int64 `json:"journal_errors"`
-	JournalRestored int64 `json:"journal_restored_jobs"`
-	JournalReplayed int64 `json:"journal_replayed_jobs"`
-	JournalCorrupt  int64 `json:"journal_corrupt_records"`
-	// The introspection trio: JobQueueDepth is the queued-but-not-running
-	// gauge, FlightRecords the flight ring's current size, and
-	// ProgressStreams the lifetime count of opened live progress tails.
-	JobQueueDepth   int64 `json:"job_queue_depth"`
-	FlightRecords   int64 `json:"flight_records"`
-	ProgressStreams int64 `json:"progress_streams_total"`
-}
+// seriesPrefix turns a /metrics JSON key into its Prometheus series name.
+const seriesPrefix = "sag_"
 
-func (m *Metrics) snapshot(cacheEntries, zoneCacheEntries int, adm *admit.Controller) metricsDoc {
-	return metricsDoc{
-		Schema:            metricsSchema,
-		JobsAccepted:      m.JobsAccepted.Load(),
-		JobsRejected:      m.JobsRejected.Load(),
-		JobsCompleted:     m.JobsCompleted.Load(),
-		JobsFailed:        m.JobsFailed.Load(),
-		JobsCancelled:     m.JobsCancelled.Load(),
-		JobsPanicked:      m.JobsPanicked.Load(),
-		JobsDegraded:      m.JobsDegraded.Load(),
-		JobsShed:          m.JobsShed.Load(),
-		RateLimited:       m.RateLimited.Load(),
-		BatchesTotal:      m.BatchesTotal.Load(),
-		BatchItemsTot:     m.BatchItemsTotal.Load(),
-		BatchItemsShed:    m.BatchItemsShed.Load(),
-		BreakerState:      adm.BreakerState(),
-		BreakerTrips:      adm.BreakerTrips(),
-		InflightLimit:     adm.InflightLimit(),
-		CacheHits:         m.CacheHits.Load(),
-		CacheMisses:       m.CacheMisses.Load(),
-		CacheEntries:      cacheEntries,
-		Resolves:          m.Resolves.Load(),
-		IncrZonesReused:   incr.ZonesReused(),
-		IncrZonesResolved: incr.ZonesResolved(),
-		ZoneCacheEntries:  zoneCacheEntries,
-		SolveMicros:       m.SolveMicros.Load(),
-		Solves:            m.Solves.Load(),
-		BBNodes:           milp.TotalNodes(),
-		PanicsRecovered:   fault.RecoveredPanics(),
-		SolverRetries:     core.TotalRetries(),
-		SolverFallbacks:   core.TotalFallbacks(),
-		FaultsInjected:    fault.FiredTotal(),
-		JournalErrors:     m.JournalErrors.Load(),
-		JournalRestored:   m.JournalRestored.Load(),
-		JournalReplayed:   m.JournalReplayed.Load(),
-		JournalCorrupt:    m.JournalCorrupt.Load(),
-		ProgressStreams:   m.ProgressStreams.Load(),
-	}
-}
-
-// snapshotDoc is the server-level snapshot: the counter document plus the
-// gauges only the Server can read (queue depth, flight ring size).
-func (s *Server) snapshotDoc() metricsDoc {
-	zones, _, _ := s.incrStores.Len()
-	d := s.metrics.snapshot(s.cache.len(), zones, s.admit)
-	d.JobQueueDepth = int64(s.pool.Len())
-	d.FlightRecords = int64(s.flight.Len())
-	return d
-}
-
-// promRegistry builds the Prometheus-side view of the service counters.
-// Every series reads the same atomic the JSON snapshot reads, through a
-// closure, so the two expositions cannot drift: a value mismatch between
-// /metrics and /metrics?format=prometheus would mean a torn read, not a
-// wiring bug. Names mirror the JSON keys with a "sag_" prefix.
-func (s *Server) promRegistry() *obs.Registry {
+// metricsRegistry declares every /metrics series exactly once, in JSON wire
+// order: key, kind, help text and read function. The JSON document (schema
+// first, then these keys in this order), MetricsSnapshot and the Prometheus
+// exposition (each key prefixed "sag_") all render from this one list, so
+// they cannot drift: a value mismatch between them would mean a torn read,
+// not a wiring bug.
+func (s *Server) metricsRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	m := &s.metrics
-	counter := func(key, help string, fn func() int64) {
-		r.Counter("sag_"+key, help, fn)
-	}
-	counter("jobs_accepted", "Solve submissions admitted to the queue.", m.JobsAccepted.Load)
+	counter := func(key, help string, fn func() int64) { r.Counter(seriesPrefix+key, help, fn) }
+	gauge := func(key, help string, fn func() int64) { r.Gauge(seriesPrefix+key, help, fn) }
+
+	counter("jobs_accepted", "Solve submissions admitted to the queue (cache hits included).", m.JobsAccepted.Load)
 	counter("jobs_rejected", "Submissions refused with backpressure or during shutdown.", m.JobsRejected.Load)
 	counter("jobs_completed", "Jobs that finished with a result document.", m.JobsCompleted.Load)
 	counter("jobs_failed", "Jobs that ended in a non-cancellation error.", m.JobsFailed.Load)
 	counter("jobs_cancelled", "Jobs ended by deadline, client cancel or shutdown.", m.JobsCancelled.Load)
-	counter("jobs_panicked", "Jobs whose solve panicked (also counted in jobs_failed).", m.JobsPanicked.Load)
+	counter("jobs_panicked", "Jobs whose solve panicked (each also counted as failed).", m.JobsPanicked.Load)
 	counter("jobs_degraded", "Completed jobs that used a heuristic fallback stage.", m.JobsDegraded.Load)
 	counter("jobs_shed_total", "Submissions rejected by deadline-aware load shedding.", m.JobsShed.Load)
 	counter("rate_limited_total", "Submissions rejected by per-client rate limiting.", m.RateLimited.Load)
 	counter("batches_total", "Accepted POST /v1/batch submissions.", m.BatchesTotal.Load)
 	counter("batch_items_total", "Items accepted batches expanded to (jobs plus rejections).", m.BatchItemsTotal.Load)
 	counter("batch_items_shed", "Batch items individually refused by deadline-aware shedding.", m.BatchItemsShed.Load)
-	r.Gauge("sag_breaker_state", "Degrade circuit breaker state (0 closed, 1 open, 2 half-open).", s.admit.BreakerState)
+	gauge("breaker_state", "Degrade circuit breaker state (0 closed, 1 open, 2 half-open).", s.admit.BreakerState)
 	counter("breaker_trips_total", "Degrade circuit breaker trips (closed/half-open to open).", s.admit.BreakerTrips)
-	r.Gauge("sag_inflight_limit", "Current AIMD adaptive concurrency ceiling.", s.admit.InflightLimit)
+	gauge("inflight_limit", "Current AIMD adaptive concurrency ceiling.", s.admit.InflightLimit)
 	counter("cache_hits", "Result-cache hits at submit time.", m.CacheHits.Load)
 	counter("cache_misses", "Result-cache misses at submit time.", m.CacheMisses.Load)
-	r.Gauge("sag_cache_entries", "Result documents currently cached.", func() int64 {
-		return int64(s.cache.len())
-	})
-	counter("incr_resolves", "Accepted /v1/resolve submissions.", m.Resolves.Load)
+	gauge("cache_entries", "Result documents currently cached.", func() int64 { return int64(s.cache.Len()) })
+	counter("incr_resolves", "Accepted /v1/resolve submissions (whole-result cache hits included).", m.Resolves.Load)
 	counter("incr_zones_reused_total", "Zone coverage solutions spliced from the zone store.", incr.ZonesReused)
 	counter("incr_zones_resolved_total", "Zone coverage solutions computed by an actual solve.", incr.ZonesResolved)
-	r.Gauge("sag_zone_cache_entries", "Zone placement entries currently stored.", func() int64 {
+	gauge("zone_cache_entries", "Zone placement entries currently stored.", func() int64 {
 		zones, _, _ := s.incrStores.Len()
 		return int64(zones)
 	})
-	counter("solve_micros_total", "Accumulated wall-clock solver microseconds.", m.SolveMicros.Load)
-	counter("solves", "Completed solves behind solve_micros_total.", m.Solves.Load)
+	counter("solve_micros_total", "Accumulated wall-clock solver microseconds (cache hits excluded).", m.SolveMicros.Load)
+	counter("solves", "Completed solves the accumulated solver microseconds span.", m.Solves.Load)
 	counter("bb_nodes_total", "Process-wide branch-and-bound nodes explored.", milp.TotalNodes)
 	counter("panics_recovered", "Process-wide panics converted into errors.", fault.RecoveredPanics)
 	counter("solver_retries_total", "Degradation-ladder stage retries.", core.TotalRetries)
 	counter("solver_fallbacks_total", "Degradation-ladder fallback activations.", core.TotalFallbacks)
 	counter("faults_injected_total", "Fired fault-injection rules.", fault.FiredTotal)
-	counter("journal_errors", "Journal append/compact/result-file failures.", m.JournalErrors.Load)
+	counter("journal_errors", "Journal append/compact/result-file failures (never fail the job).", m.JournalErrors.Load)
 	counter("journal_restored_jobs", "Jobs restored to a terminal state from the journal.", m.JournalRestored.Load)
 	counter("journal_replayed_jobs", "Journaled unfinished jobs re-submitted at startup.", m.JournalReplayed.Load)
-	counter("journal_corrupt_records", "Mid-file journal records quarantined by checksum at startup.", m.JournalCorrupt.Load)
-	r.Gauge("sag_job_queue_depth", "Jobs queued but not yet running.", func() int64 {
-		return int64(s.pool.Len())
-	})
-	r.Gauge("sag_flight_records", "Completed-job records currently retained by the flight recorder.", func() int64 {
+	counter("journal_corrupt_records", "Mid-file journal records quarantined at startup (a torn final line is not counted).", m.JournalCorrupt.Load)
+	gauge("job_queue_depth", "Jobs queued but not yet running.", func() int64 { return int64(s.pool.Len()) })
+	gauge("flight_records", "Completed-job records currently retained by the flight recorder.", func() int64 {
 		return int64(s.flight.Len())
 	})
 	counter("progress_streams_total", "Opened live progress streams (?stream=1).", m.ProgressStreams.Load)
 	return r
+}
+
+// metricsDoc is the /metrics JSON document: the schema, then every series
+// of the registry under its JSON key, in declaration order. writeJSON
+// indents it like any other document.
+type metricsDoc struct{ series *obs.Registry }
+
+func (d metricsDoc) MarshalJSON() ([]byte, error) {
+	b := append([]byte(`{"schema":`), strconv.Quote(metricsSchema)...)
+	d.series.Each(func(name string, v int64) {
+		b = append(b, ',')
+		b = strconv.AppendQuote(b, strings.TrimPrefix(name, seriesPrefix))
+		b = append(b, ':')
+		b = strconv.AppendInt(b, v, 10)
+	})
+	return append(b, '}'), nil
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,6 +88,23 @@ func fetchMetricsProm(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
+// metricsKeysV6 is the sagmetrics/6 wire contract: every key of the /metrics
+// JSON document, in order. Adding, renaming or reordering a key changes the
+// schema and must bump metricsSchema.
+var metricsKeysV6 = []string{
+	"schema",
+	"jobs_accepted", "jobs_rejected", "jobs_completed", "jobs_failed", "jobs_cancelled",
+	"jobs_panicked", "jobs_degraded", "jobs_shed_total", "rate_limited_total",
+	"batches_total", "batch_items_total", "batch_items_shed",
+	"breaker_state", "breaker_trips_total", "inflight_limit",
+	"cache_hits", "cache_misses", "cache_entries",
+	"incr_resolves", "incr_zones_reused_total", "incr_zones_resolved_total", "zone_cache_entries",
+	"solve_micros_total", "solves", "bb_nodes_total", "panics_recovered",
+	"solver_retries_total", "solver_fallbacks_total", "faults_injected_total",
+	"journal_errors", "journal_restored_jobs", "journal_replayed_jobs", "journal_corrupt_records",
+	"job_queue_depth", "flight_records", "progress_streams_total",
+}
+
 // TestMetricsExpositionsAgree asserts the JSON document and the Prometheus
 // exposition report identical values for every counter: both read the same
 // atomics, so any disagreement is a wiring bug.
@@ -105,11 +123,14 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 		t.Fatalf("cache-hit job ended %v", job2.status().State)
 	}
 
+	// The solved job's flight record lands just after its done channel
+	// closes; let it settle so both expositions read the same value.
+	waitMetric(t, s, "flight_records", 2)
 	jsonVals, order := fetchMetricsJSON(t, ts.URL)
 	promVals := fetchMetricsProm(t, ts.URL)
 
-	if len(order) == 0 || order[0] != "schema" {
-		t.Fatalf("metrics key order = %v, want schema first", order)
+	if !slices.Equal(order, metricsKeysV6) {
+		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV6)
 	}
 	if got := jsonVals["schema"]; got != json.Number(strconv.Quote(metricsSchema)) {
 		t.Errorf("schema = %s, want %q", got, metricsSchema)
@@ -148,10 +169,6 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 		if _, ok := promVals["sag_"+key]; !ok {
 			t.Errorf("Prometheus exposition is missing sag_%s", key)
 		}
-	}
-	// Two finished jobs (one solved, one cache hit) leave flight records.
-	if v, _ := jsonVals["flight_records"].Float64(); v < 2 {
-		t.Errorf("flight_records = %v after two finished jobs, want >= 2", v)
 	}
 }
 
@@ -279,4 +296,20 @@ func submitAndWait(t *testing.T, s *Server, sc *scenario.Scenario, opts SolveOpt
 	}
 	waitDone(t, job, 60*time.Second)
 	return job
+}
+
+// waitMetric waits up to 10s for the /metrics series key to read want.
+func waitMetric(t *testing.T, s *Server, key string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := s.MetricsSnapshot()[key]
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", key, got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +36,12 @@ func mediumScenario(t *testing.T) *scenario.Scenario {
 // counts, non-increasing per-zone gaps, and a stream that closes by itself
 // when the job finishes.
 func TestProgressStreamLiveJob(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 4})
+	var logBuf syncBuffer
+	logger, err := obs.NewLogger(&logBuf, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Workers: 4, Logger: logger})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -117,6 +126,55 @@ func TestProgressStreamLiveJob(t *testing.T) {
 	if got := s.metrics.ProgressStreams.Load(); got < 1 {
 		t.Errorf("progress_streams_total = %d, want >= 1", got)
 	}
+
+	// The JSON event log correlates by job_id: the finished job has its
+	// "job done" line ("job done degraded" when a zone hit its time limit,
+	// as it can on a loaded machine). The line is written just after the
+	// done channel closes, so poll briefly.
+	for deadline := time.Now().Add(5 * time.Second); !loggedDone(t, logBuf.String(), job.ID); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no JSON log line with msg %q and job_id %q in:\n%s", "job done", job.ID, logBuf.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// loggedDone reports whether the captured JSON log holds a "job done" line
+// for jobID; every captured line must parse as JSON.
+func loggedDone(t *testing.T, log, jobID string) bool {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		var entry struct {
+			Msg   string `json:"msg"`
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("log line is not JSON: %q", line)
+		}
+		if strings.HasPrefix(entry.Msg, "job done") && entry.JobID == jobID {
+			return true
+		}
+	}
+	return false
+}
+
+// syncBuffer is a mutex-guarded log sink: tests read captured lines while
+// server goroutines may still be writing.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestProgressSnapshotAndCacheHit checks the non-streaming endpoint: a
@@ -247,6 +305,18 @@ func TestFlightRecordAfterJob(t *testing.T) {
 	}
 	if len(rec.Detail.Curve) == 0 {
 		t.Error("flight record has no convergence curve")
+	}
+
+	// The SIGQUIT dump path renders the same ring as one parseable document.
+	var dump struct {
+		Schema string `json:"schema"`
+		Count  int    `json:"count"`
+	}
+	if err := json.Unmarshal(s.FlightRecorder().Dump(), &dump); err != nil {
+		t.Fatalf("flight dump is not JSON: %v", err)
+	}
+	if dump.Count < 1 {
+		t.Errorf("flight dump count = %d, want >= 1", dump.Count)
 	}
 
 	resp, err := http.Get(fs.URL + "/debug/flight/absent")

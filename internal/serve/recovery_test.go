@@ -136,7 +136,9 @@ func TestJournalRestoresFinishedJobsAcrossRestart(t *testing.T) {
 func TestJournalReplaysCrashedJobFromRawWAL(t *testing.T) {
 	// A crash leaves submit+start with no terminal record — plus, here, a
 	// torn half-written line, which the tolerant reader must stop at. The
-	// next start re-runs the job under its original ID.
+	// next start re-runs the job under its original ID. An unchecksummed
+	// mid-file line (the pre-checksum format) is quarantined like any other
+	// damaged record: it must not finish the job.
 	dir := t.TempDir()
 	req, err := json.Marshal(SolveRequest{Scenario: tinyScenario(t)})
 	if err != nil {
@@ -148,21 +150,30 @@ func TestJournalReplaysCrashedJobFromRawWAL(t *testing.T) {
 		{T: recSubmit, ID: "j-7", Key: key, Req: req},
 		{T: recStart, ID: "j-7", Key: key},
 	} {
-		line, err := json.Marshal(&r)
+		line, err := encodeLine(&r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wal.Write(line)
-		wal.WriteByte('\n')
 	}
-	wal.WriteString(`{"t":"done","id":"j-7","ke`) // torn tail from kill -9
+	unchecked, err := json.Marshal(jrec{T: recFail, ID: "j-7", Err: "unverifiable"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Write(append(unchecked, '\n'))
+	torn, err := encodeLine(&jrec{T: recDone, ID: "j-7", Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Write(torn[:len(torn)/2]) // torn tail from kill -9
 	if err := os.WriteFile(journalPath(dir), wal.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s := newTestServer(t, Options{DataDir: dir})
-	if m := s.MetricsSnapshot(); m["journal_replayed_jobs"] != 1 {
-		t.Fatalf("journal_replayed_jobs = %d, want 1", m["journal_replayed_jobs"])
+	if m := s.MetricsSnapshot(); m["journal_replayed_jobs"] != 1 || m["journal_corrupt_records"] != 1 {
+		t.Fatalf("journal_replayed_jobs = %d, journal_corrupt_records = %d, want 1 and 1",
+			m["journal_replayed_jobs"], m["journal_corrupt_records"])
 	}
 	job, ok := s.Job("j-7")
 	if !ok {

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
-	"sync"
 
 	"sagrelay/internal/incr"
 	"sagrelay/internal/scenario"
@@ -78,7 +76,7 @@ func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
 	if hash == "" {
 		return nil, fmt.Errorf("serve: %w: resolve request names neither base_job nor base_scenario_hash", scenario.ErrBadDelta)
 	}
-	base, ok := s.scenarios.get(hash)
+	base, ok := s.scenarios.Get(hash)
 	if !ok {
 		return nil, fmt.Errorf("%w: no retained scenario with hash %s", ErrNoBase, hash)
 	}
@@ -100,69 +98,14 @@ func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.metrics.Resolves.Add(1)
-	return s.submit(client, SolveRequest{Scenario: mutated, Options: opts}, &incrMeta{
+	job, err := s.submit(client, SolveRequest{Scenario: mutated, Options: opts}, &incrMeta{
 		baseHash: hash,
 		plan:     plan,
 		fast:     req.Fast,
 	})
-}
-
-// scenarioStore is a bounded LRU of scenarios by canonical hash, retained at
-// submit time so later deltas can name a base by job ID or hash without
-// re-uploading it. Stored scenarios are shared and must not be mutated
-// (Delta.Apply clones before changing anything).
-type scenarioStore struct {
-	mu   sync.Mutex
-	max  int
-	ll   *list.List // front = most recently used
-	ents map[string]*list.Element
-}
-
-type scenarioEntry struct {
-	hash string
-	sc   *scenario.Scenario
-}
-
-func newScenarioStore(max int) *scenarioStore {
-	if max <= 0 {
-		max = 256
+	if err != nil {
+		return nil, err
 	}
-	return &scenarioStore{
-		max:  max,
-		ll:   list.New(),
-		ents: make(map[string]*list.Element, max),
-	}
-}
-
-func (c *scenarioStore) get(hash string) (*scenario.Scenario, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.ents[hash]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*scenarioEntry).sc, true
-}
-
-func (c *scenarioStore) put(hash string, sc *scenario.Scenario) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.ents[hash]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.ents[hash] = c.ll.PushFront(&scenarioEntry{hash: hash, sc: sc})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.ents, oldest.Value.(*scenarioEntry).hash)
-	}
-}
-
-func (c *scenarioStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	s.metrics.Resolves.Add(1)
+	return job, nil
 }

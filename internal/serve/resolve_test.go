@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sagrelay/internal/admit"
 	"sagrelay/internal/geom"
 	"sagrelay/internal/milp"
 	"sagrelay/internal/scenario"
@@ -302,5 +303,31 @@ func TestResolveHTTP(t *testing.T) {
 	if resp5, out := post(ResolveRequest{BaseJob: baseJobID,
 		Delta: moveDelta(12345, geom.Point{X: 1, Y: 2})}); resp5.StatusCode != http.StatusBadRequest {
 		t.Errorf("dangling delta: %d %s, want 400", resp5.StatusCode, out)
+	}
+}
+
+// TestResolveRefusedIsNotCounted: incr_resolves counts accepted resolves
+// only. A resolve that submit refuses (here by the per-client rate limit)
+// must leave it alone.
+func TestResolveRefusedIsNotCounted(t *testing.T) {
+	s := newTestServer(t, Options{Admit: admit.Options{Rate: 0.001, Burst: 1}})
+	sc := tinyScenario(t)
+	base := submitAndWait(t, s, sc, SolveOptions{})
+
+	id := sc.Subscribers[0].ID
+	job, err := s.ResolveFrom("tenant", ResolveRequest{BaseJob: base.ID, Delta: moveDelta(id, geom.Point{X: 150, Y: 150})})
+	if err != nil {
+		t.Fatalf("first resolve: %v", err)
+	}
+	waitDone(t, job, 60*time.Second)
+	_, err = s.ResolveFrom("tenant", ResolveRequest{BaseJob: base.ID, Delta: moveDelta(id, geom.Point{X: 160, Y: 140})})
+	var rl *admit.RateLimitError
+	if !errors.As(err, &rl) {
+		t.Fatalf("second resolve: err = %v, want *admit.RateLimitError", err)
+	}
+	m := s.MetricsSnapshot()
+	if m["incr_resolves"] != 1 || m["rate_limited_total"] != 1 {
+		t.Errorf("incr_resolves = %d, rate_limited_total = %d, want 1 and 1",
+			m["incr_resolves"], m["rate_limited_total"])
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"sagrelay/internal/core"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/incr"
+	"sagrelay/internal/lru"
 	"sagrelay/internal/milp"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/par"
@@ -115,6 +116,9 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 256
 	}
+	if o.ScenarioRetention <= 0 {
+		o.ScenarioRetention = 256
+	}
 	if o.MaxJobTime <= 0 {
 		o.MaxJobTime = 2 * time.Minute
 	}
@@ -133,20 +137,25 @@ func (o Options) withDefaults() Options {
 // Server owns the job table, worker pool, result cache and metrics. Create
 // one with NewServer, expose it with Handler, stop it with Shutdown.
 type Server struct {
-	opts    Options
-	pool    *par.Pool
-	cache   *cache
+	opts Options
+	pool *par.Pool
+	// cache is the content-addressed result cache: request key to the exact
+	// marshaled bytes of the first solve, so a hit replays a byte-identical
+	// document. Shared slices; never modified.
+	cache   *lru.Cache[string, []byte]
 	metrics Metrics
 	// incrStores are the zone-level content-addressed stores shared by every
 	// job: full solves populate them and incremental re-solves splice from
 	// them (see internal/incr).
 	incrStores *incr.Stores
 	// scenarios retains recently-submitted scenarios by canonical hash so
-	// /v1/resolve can locate a delta's base.
-	scenarios *scenarioStore
-	// prom is the Prometheus-format view over the same counters the JSON
-	// snapshot reads (see promRegistry).
-	prom *obs.Registry
+	// /v1/resolve can locate a delta's base. Stored scenarios are shared and
+	// never mutated (Delta.Apply clones before changing anything).
+	scenarios *lru.Cache[string, *scenario.Scenario]
+	// series is the one declaration of every /metrics series; the JSON
+	// document, MetricsSnapshot and the Prometheus exposition all render it
+	// (see metricsRegistry).
+	series *obs.Registry
 	// admit is the admission-control layer: rate limiting and deadline-aware
 	// shedding at submit, AIMD concurrency and the degrade circuit breaker
 	// around each solve.
@@ -206,9 +215,9 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		pool:       par.NewPool(opts.Workers, opts.QueueDepth),
-		cache:      newCache(opts.CacheEntries),
+		cache:      lru.New[string, []byte](opts.CacheEntries),
 		incrStores: incr.NewStores(opts.ZoneCacheEntries),
-		scenarios:  newScenarioStore(opts.ScenarioRetention),
+		scenarios:  lru.New[string, *scenario.Scenario](opts.ScenarioRetention),
 		admit:      admit.New(aopts),
 		flight:     obs.NewFlightRecorder(opts.FlightRecords),
 		log:        logger,
@@ -217,7 +226,7 @@ func NewServer(opts Options) (*Server, error) {
 		jobs:       make(map[string]*Job),
 		batches:    make(map[string]*Batch),
 	}
-	s.prom = s.promRegistry()
+	s.series = s.metricsRegistry()
 	if opts.DataDir != "" {
 		j, recs, corrupt, err := openJournal(opts.DataDir)
 		if err != nil {
@@ -240,7 +249,7 @@ func NewServer(opts Options) (*Server, error) {
 
 // jappend writes a journal record when the journal is enabled. A journal
 // write failure must not fail the job — the solve result is still correct —
-// so it only increments the journal_errors counter.
+// so it only counts a journal error.
 func (s *Server) jappend(r jrec) {
 	if s.journal == nil {
 		return
@@ -326,7 +335,7 @@ func (s *Server) replay(recs []jrec) {
 			json.Unmarshal(f.submit.Req, &req) == nil && req.Scenario != nil
 		if haveReq {
 			job.ScenarioHash = req.Scenario.CanonicalHash()
-			s.scenarios.put(job.ScenarioHash, req.Scenario)
+			s.scenarios.Add(job.ScenarioHash, req.Scenario)
 		}
 		s.jobs[id] = job
 		s.order = append(s.order, id)
@@ -352,7 +361,7 @@ func (s *Server) replay(recs []jrec) {
 					continue
 				}
 				if doc, ok := s.journal.loadResult(job.Key); ok {
-					s.cache.put(job.Key, doc)
+					s.cache.Add(job.Key, doc)
 					job.finish(StateDone, doc, "")
 					s.metrics.JournalRestored.Add(1)
 					termRecs[id] = jrec{T: recDone, ID: id, Key: job.Key}
@@ -378,7 +387,7 @@ func (s *Server) replay(recs []jrec) {
 			termRecs[id] = jrec{T: recFail, ID: id, Err: msg}
 			continue
 		}
-		if doc, ok := s.cache.get(job.Key); ok {
+		if doc, ok := s.cache.Get(job.Key); ok {
 			// An already-restored job with the same content address pays for
 			// this one too.
 			job.mu.Lock()
@@ -482,7 +491,7 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 	// Retain the scenario before the job is visible: a client that reads the
 	// accepted job's scenario_hash may immediately resolve against it.
 	scHash := req.Scenario.CanonicalHash()
-	s.scenarios.put(scHash, req.Scenario)
+	s.scenarios.Add(scHash, req.Scenario)
 
 	timeout := s.opts.MaxJobTime
 	if ms := opts.TimeoutMS; ms > 0 {
@@ -496,7 +505,7 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 	// shedding them would refuse free requests. The one-time cache lookup
 	// here is reused below (a concurrent fill between lookup and publication
 	// only means an admitted job re-solves to identical bytes).
-	cachedDoc, cacheHit := s.cache.get(key)
+	cachedDoc, cacheHit := s.cache.Get(key)
 	var admitDec admit.Decision
 	if !cacheHit {
 		dec, err := s.admit.Admit(admit.SizeClass(len(req.Scenario.Subscribers)), s.pool.Len(), timeout)
@@ -743,6 +752,10 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 	outcome.Failed = false
 	outcome.Degraded = sol.Degraded
+	// Settle admission before the job is published as done: whoever sees it
+	// finished (a client's next submit, a test) meets a cost model and
+	// breaker that already count it.
+	s.admit.Finish(grant, outcome)
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())
 	s.metrics.JobsCompleted.Add(1)
@@ -764,7 +777,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		s.recordFlight(job, "degraded", true, sol.Degraded)
 		return
 	}
-	s.cache.put(job.Key, doc)
+	s.cache.Add(job.Key, doc)
 	if s.journal != nil {
 		// Result file before the done record: a done in the WAL promises a
 		// loadable result (a crash between the two replays the job instead).
@@ -903,46 +916,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// MetricsSnapshot returns the current counters (exported for tests and the
-// smoke harness; the HTTP layer serves the same document at /metrics).
+// MetricsSnapshot returns the current value of every /metrics series by its
+// JSON key (the HTTP layer serves the same values at /metrics).
 func (s *Server) MetricsSnapshot() map[string]int64 {
-	d := s.snapshotDoc()
-	return map[string]int64{
-		"jobs_accepted":             d.JobsAccepted,
-		"jobs_rejected":             d.JobsRejected,
-		"jobs_completed":            d.JobsCompleted,
-		"jobs_failed":               d.JobsFailed,
-		"jobs_cancelled":            d.JobsCancelled,
-		"jobs_panicked":             d.JobsPanicked,
-		"jobs_degraded":             d.JobsDegraded,
-		"jobs_shed_total":           d.JobsShed,
-		"rate_limited_total":        d.RateLimited,
-		"batches_total":             d.BatchesTotal,
-		"batch_items_total":         d.BatchItemsTot,
-		"batch_items_shed":          d.BatchItemsShed,
-		"breaker_state":             d.BreakerState,
-		"breaker_trips_total":       d.BreakerTrips,
-		"inflight_limit":            d.InflightLimit,
-		"cache_hits":                d.CacheHits,
-		"cache_misses":              d.CacheMisses,
-		"cache_entries":             int64(d.CacheEntries),
-		"incr_resolves":             d.Resolves,
-		"incr_zones_reused_total":   d.IncrZonesReused,
-		"incr_zones_resolved_total": d.IncrZonesResolved,
-		"zone_cache_entries":        int64(d.ZoneCacheEntries),
-		"solve_micros_total":        d.SolveMicros,
-		"solves":                    d.Solves,
-		"bb_nodes_total":            d.BBNodes,
-		"panics_recovered":          d.PanicsRecovered,
-		"solver_retries_total":      d.SolverRetries,
-		"solver_fallbacks_total":    d.SolverFallbacks,
-		"faults_injected_total":     d.FaultsInjected,
-		"journal_errors":            d.JournalErrors,
-		"journal_restored_jobs":     d.JournalRestored,
-		"journal_replayed_jobs":     d.JournalReplayed,
-		"journal_corrupt_records":   d.JournalCorrupt,
-		"job_queue_depth":           d.JobQueueDepth,
-		"flight_records":            d.FlightRecords,
-		"progress_streams_total":    d.ProgressStreams,
-	}
+	out := make(map[string]int64)
+	s.series.Each(func(name string, v int64) {
+		out[strings.TrimPrefix(name, seriesPrefix)] = v
+	})
+	return out
 }

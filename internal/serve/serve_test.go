@@ -464,27 +464,3 @@ func TestHTTPCancelEndpoint(t *testing.T) {
 		t.Errorf("state after DELETE = %v, want cancelled", state)
 	}
 }
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
-		t.Error("LRU entry b survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("recently used entry a evicted")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-	// Re-putting an existing key keeps the original bytes.
-	c.put("a", []byte("A2"))
-	if got, _ := c.get("a"); string(got) != "A" {
-		t.Errorf("re-put replaced bytes: %q", got)
-	}
-}

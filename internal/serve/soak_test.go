@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -131,5 +134,45 @@ func TestBurstSoakAccountingAndDrain(t *testing.T) {
 				runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestHealthzLiveUnderDelayStorm keeps the liveness probe honest: while 12
+// GAC jobs grind through an lp.pivot/serve.job delay storm, /healthz must
+// keep answering in under 100ms.
+func TestHealthzLiveUnderDelayStorm(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	armFault(t, "lp.pivot=delay:p=0.3:d=2ms,serve.job=delay:p=0.8:d=10ms")
+
+	var jobs []*Job
+	for i := 0; i < 12; i++ {
+		job, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, int64(700+i)), Options: SolveOptions{Coverage: "GAC"}})
+		if err != nil {
+			t.Fatalf("storm submit %d: %v", i, err)
+		}
+		jobs = append(jobs, job)
+	}
+	var worst time.Duration
+	for i := 0; i < 25; i++ {
+		t0 := time.Now()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("healthz probe %d: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		worst = max(worst, time.Since(t0))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz probe %d: %s", i, resp.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if worst >= 100*time.Millisecond {
+		t.Errorf("worst healthz latency %v under the storm, want < 100ms", worst)
+	}
+	for _, j := range jobs {
+		waitDone(t, j, 2*time.Minute)
 	}
 }
