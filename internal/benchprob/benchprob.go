@@ -8,6 +8,7 @@ package benchprob
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"sagrelay/internal/lp"
 )
@@ -25,12 +26,7 @@ import (
 // ones) matches the real per-zone solves. Construction is static; failures
 // are programming errors and panic.
 func ILPQC() (*lp.Problem, []bool) {
-	p := ILPQCRelaxation()
-	isInt := make([]bool, p.NumVariables())
-	for i := range isInt {
-		isInt[i] = true
-	}
-	return p, isInt
+	return allInt(ILPQCRelaxation())
 }
 
 // ILPQCRelaxation constructs the LP relaxation of the ILPQC instance — the
@@ -50,14 +46,70 @@ func ILPQCRelaxation() *lp.Problem {
 		covers[i] = make([]bool, n)
 		for j := 0; j < n; j++ {
 			d := math.Abs(float64(10*i) - float64(10*j+3))
-			if d < 1 {
-				d = 1
-			}
-			w[i][j] = 1 / (d * d * d)
+			w[i][j] = gain(d)
 			covers[i][j] = d <= 25
 		}
 	}
+	return zoneModel(w, covers, beta)
+}
 
+// GACZone constructs a per-zone ILPQC instance at the size of gac-sweep's
+// zones: ten subscribers spread over a 500x500 field with 30-36 coverage
+// radii, and as candidates every center of the 15-wide grid that covers
+// one of them — the Grids As Candidates density of lower.GAC. That gives
+// 131 candidates and 146 feasible pairs: 277 columns and 418 rows, ~20x
+// the ILPQC instance's tableau. beta is the -15 dB threshold of the
+// benchmark's fields. The returned isInt marks every variable integer.
+func GACZone() (*lp.Problem, []bool) {
+	return allInt(GACZoneRelaxation())
+}
+
+// GACZoneRelaxation constructs the LP relaxation of the GACZone instance.
+func GACZoneRelaxation() *lp.Problem {
+	const (
+		n     = 10
+		field = 500.0
+		grid  = 15.0
+	)
+	beta := math.Pow(10, -15.0/10)
+	rng := rand.New(rand.NewSource(7))
+	sx, sy, rad := make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range sx {
+		sx[j] = 40 + rng.Float64()*(field-80)
+		sy[j] = 40 + rng.Float64()*(field-80)
+		rad[j] = 30 + 6*rng.Float64()
+	}
+	var w [][]float64
+	var covers [][]bool
+	for gx := grid / 2; gx < field; gx += grid {
+		for gy := grid / 2; gy < field; gy += grid {
+			wi, ci, any := make([]float64, n), make([]bool, n), false
+			for j := range sx {
+				d := math.Hypot(gx-sx[j], gy-sy[j])
+				wi[j] = gain(d)
+				ci[j] = d <= rad[j]
+				any = any || ci[j]
+			}
+			if any {
+				w, covers = append(w, wi), append(covers, ci)
+			}
+		}
+	}
+	return zoneModel(w, covers, beta)
+}
+
+// gain is the synthetic path gain 1/d^3, with d clamped to 1.
+func gain(d float64) float64 {
+	d = math.Max(d, 1)
+	return 1 / (d * d * d)
+}
+
+// zoneModel builds the ILPQC relaxation of one zone from the candidate x
+// subscriber gains w and coverage matrix covers, the way
+// sagrelay/internal/lower does: placement variables T_i, then one T_ij per
+// feasible pair in (i, j) order, then rows (3.2), (3.3) and (3.5).
+func zoneModel(w [][]float64, covers [][]bool, beta float64) *lp.Problem {
+	nC, n := len(w), len(w[0])
 	p := lp.NewProblem()
 	tVar := make([]int, nC)
 	for i := range tVar {
@@ -121,6 +173,15 @@ func ILPQCRelaxation() *lp.Problem {
 		}
 	}
 	return p
+}
+
+// allInt pairs p with an isInt vector marking every variable integer.
+func allInt(p *lp.Problem) (*lp.Problem, []bool) {
+	isInt := make([]bool, p.NumVariables())
+	for i := range isInt {
+		isInt[i] = true
+	}
+	return p, isInt
 }
 
 func must(err error) {

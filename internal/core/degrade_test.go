@@ -98,10 +98,12 @@ func TestDegradeExpiredDeadlineRunsInOvertime(t *testing.T) {
 	defer cancel()
 	// Full fidelity requires the deterministic node cap to be the binding
 	// budget: a reachable wall-clock zone limit would truncate the search
-	// and (correctly) mark the solution Degraded.
+	// and (correctly) mark the solution Degraded. The cap is small enough
+	// that the whole run ends well inside the 30 s DegradeTimeout even
+	// under the race detector on two CPUs.
 	cfg := Config{
 		Coverage: CoverGAC, Degrade: true, RetryBackoff: time.Millisecond,
-		ILP: lower.ILPOptions{TimeLimit: time.Hour},
+		ILP: lower.ILPOptions{TimeLimit: time.Hour, MaxNodes: 200},
 	}
 
 	sol, err := Run(ctx, sc, cfg)

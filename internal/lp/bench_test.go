@@ -50,7 +50,16 @@ func BenchmarkLPSolveReused(b *testing.B) {
 // bound — the branch-and-bound child-node pattern: solve the parent once,
 // then repeatedly dual-simplex from its basis with a single variable fixed.
 func BenchmarkLPWarmSolve(b *testing.B) {
-	p := benchprob.ILPQCRelaxation()
+	benchWarmSolve(b, benchprob.ILPQCRelaxation())
+}
+
+// BenchmarkLPWarmSolveGAC is BenchmarkLPWarmSolve on the GAC-size zone,
+// where the refactorization's row sweeps dominate a child solve.
+func BenchmarkLPWarmSolveGAC(b *testing.B) {
+	benchWarmSolve(b, benchprob.GACZoneRelaxation())
+}
+
+func benchWarmSolve(b *testing.B, p *lp.Problem) {
 	s := lp.NewSolver()
 	ctx := context.Background()
 	parent, err := s.WarmSolve(ctx, p, nil, nil, nil)
@@ -68,8 +77,8 @@ func BenchmarkLPWarmSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sol.Status != lp.Optimal {
-			b.Fatalf("status %v", sol.Status)
+		if sol.Status != lp.Optimal || !sol.WarmStarted {
+			b.Fatalf("status %v, warm started %v", sol.Status, sol.WarmStarted)
 		}
 	}
 }

@@ -58,6 +58,7 @@ type tableau struct {
 	basis    []int
 	objRow   []float64 // reduced-cost row, len nCols+1; last entry is -z
 	origObj  []float64 // structural objective, installed in phase 2
+	nz       []int     // eliminate's scratch, the owning Solver's buffer
 	maxIts   int
 	its      int
 	ctx      context.Context // polled during iteration; nil means no check
@@ -84,35 +85,55 @@ func (t *tableau) resetPricing() {
 	t.lastZ = math.Inf(1)
 }
 
-func (t *tableau) pivot(r, c int) {
-	pr := t.rows[r]
-	pv := pr[c]
-	inv := 1 / pv
-	for j := range pr {
-		pr[j] *= inv
+// eliminate is the one Gauss-Jordan step behind the cold pivot, the dual
+// pivot and the warm refactorization: it scales row r so rows[r][c] = 1
+// and clears column c from every other row. Row r's nonzero columns are
+// collected once into nz (sized by the caller to the row width, so it
+// never grows) and the row updates run over them only. A skipped entry
+// would lose f*0, an exact zero for finite f, so every nonzero result is
+// bit-identical to a dense update; only the sign of an exact zero can
+// differ, and no comparison reads it (solution extraction clears it). The
+// ascending index list is returned for reduce.
+func eliminate(rows [][]float64, r, c int, nz []int) []int {
+	pr := rows[r]
+	inv := 1 / pr[c]
+	nz = nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
 	pr[c] = 1 // fight rounding
-	for i := range t.rows {
-		if i == r {
-			continue
+	for i, ri := range rows {
+		if f := ri[c]; f != 0 && i != r {
+			for _, j := range nz {
+				ri[j] -= f * pr[j]
+			}
+			ri[c] = 0
 		}
-		f := t.rows[i][c]
-		if f == 0 {
-			continue
-		}
-		ri := t.rows[i]
-		for j := range ri {
-			ri[j] -= f * pr[j]
-		}
-		ri[c] = 0
 	}
-	f := t.objRow[c]
-	if f != 0 {
-		for j := range t.objRow {
-			t.objRow[j] -= f * pr[j]
+	return nz
+}
+
+// reduce clears column c from the cost row v over the nonzero columns nz
+// of the pivot row pr that eliminate returned. Columns past v's end (the
+// rhs, which the dual path's reduced costs do not carry) are skipped.
+func reduce(v, pr []float64, c int, nz []int) {
+	if f := v[c]; f != 0 {
+		for _, j := range nz {
+			if j >= len(v) {
+				break
+			}
+			v[j] -= f * pr[j]
 		}
-		t.objRow[c] = 0
+		v[c] = 0
 	}
+}
+
+func (t *tableau) pivot(r, c int) {
+	t.nz = eliminate(t.rows, r, c, t.nz)
+	reduce(t.objRow, t.rows[r], c, t.nz)
 	t.basis[r] = c
 	t.its++
 }
@@ -353,8 +374,8 @@ func (t *tableau) run() (*Solution, error) {
 	for i, b := range t.basis {
 		if b < t.nStruct {
 			x[b] = t.rows[i][t.nCols]
-			if x[b] < 0 && x[b] > -feasEps {
-				x[b] = 0
+			if x[b] <= 0 && x[b] > -feasEps {
+				x[b] = 0 // also turns -0 into +0
 			}
 		}
 	}

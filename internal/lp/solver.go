@@ -81,6 +81,11 @@ type Solver struct {
 	wcands  []dualCand
 	wvals   []float64
 
+	// nz is eliminate's nonzero-column scratch for the cold tableau and the
+	// warm path alike: it lives only within one pivot, and each solve sizes
+	// it to its row width so no pivot allocates.
+	nz []int
+
 	// forceBland pins pivot selection to Bland's rule from the first
 	// iteration in both the primal and dual paths. Testing hook: the
 	// degenerate-LP regressions compare Devex-with-stall-fallback against
@@ -377,6 +382,7 @@ func (s *Solver) build(p *Problem, lower, upper map[int]float64) (*tableau, erro
 	s.origObj = grow(s.origObj, n)
 	copy(s.origObj, p.obj)
 	s.devex = grow(s.devex, nCols)
+	s.nz = growInt(s.nz, width)
 
 	t := &tableau{
 		nStruct:    n,
@@ -386,6 +392,7 @@ func (s *Solver) build(p *Problem, lower, upper map[int]float64) (*tableau, erro
 		basis:      s.basis,
 		objRow:     s.objRow,
 		origObj:    s.origObj,
+		nz:         s.nz,
 		devex:      s.devex,
 		maxIts:     p.maxIts,
 		forceBland: s.forceBland,

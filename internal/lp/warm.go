@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sagrelay/internal/fault"
 )
@@ -95,6 +95,7 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 		s.wrows = make([][]float64, m)
 	}
 	s.wrows = s.wrows[:m]
+	s.nz = growInt(s.nz, width)
 	for k := 0; k < m; k++ {
 		s.wrows[k] = s.wflat[k*width : (k+1)*width]
 		r := s.wrows[k]
@@ -132,7 +133,8 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 		if best < 0 {
 			return nil, fmt.Errorf("%w: singular basis at column %d", ErrWarmStart, j)
 		}
-		s.welim(best, j)
+		s.nz = eliminate(s.wrows, best, j, s.nz)
+		s.wbasis[best] = j
 	}
 	for r := 0; r < m; r++ {
 		if s.wbasis[r] >= 0 {
@@ -157,7 +159,8 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 			return nil, fmt.Errorf("%w: cannot complete degenerate basis at row %d", ErrWarmStart, r)
 		}
 		s.wstatus[pick] = Basic
-		s.welim(r, pick)
+		s.nz = eliminate(s.wrows, r, pick, s.nz)
+		s.wbasis[r] = pick
 	}
 
 	// Reduced costs d = c - c_B^T B^-1 A (structural costs from the
@@ -248,35 +251,6 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 		lpPivotsPerSolve.Observe(float64(sol.Iterations))
 	}
 	return sol, err
-}
-
-// welim makes column c basic in row r: scales the row, eliminates c from
-// every other row (including the carried rhs column), and records the
-// assignment. This is the refactorization workhorse — it is the same
-// arithmetic as a simplex pivot but performs no pricing or ratio test, so
-// it is not counted as an iteration.
-func (s *Solver) welim(r, c int) {
-	pr := s.wrows[r]
-	inv := 1 / pr[c]
-	for j := range pr {
-		pr[j] *= inv
-	}
-	pr[c] = 1
-	for i := range s.wrows {
-		if i == r {
-			continue
-		}
-		ri := s.wrows[i]
-		f := ri[c]
-		if f == 0 {
-			continue
-		}
-		for j := range ri {
-			ri[j] -= f * pr[j]
-		}
-		ri[c] = 0
-	}
-	s.wbasis[r] = c
 }
 
 // dualSimplex restores primal feasibility with bound-flipping dual pivots,
@@ -400,11 +374,14 @@ func (s *Solver) dualSimplex(ctx context.Context, p *Problem, maxIts int) (*Solu
 			// branch-and-bound child dies).
 			return &Solution{Status: Infeasible, Iterations: its, WarmStarted: true}, nil
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].ratio != cands[b].ratio {
-				return cands[a].ratio < cands[b].ratio
+		slices.SortFunc(cands, func(a, b dualCand) int {
+			if a.ratio != b.ratio {
+				if a.ratio < b.ratio {
+					return -1
+				}
+				return 1
 			}
-			return cands[a].j < cands[b].j
+			return a.j - b.j
 		})
 
 		// Bound-flipping (long-step) walk: boxed candidates whose full flip
@@ -480,31 +457,8 @@ func (s *Solver) dualSimplex(ctx context.Context, p *Problem, maxIts int) (*Solu
 
 		// Pivot: scale row r, eliminate q elsewhere and from the reduced
 		// costs.
-		inv := 1 / arq
-		for j := range row {
-			row[j] *= inv
-		}
-		row[q] = 1
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			ri := s.wrows[i]
-			f := ri[q]
-			if f == 0 {
-				continue
-			}
-			for j := range ri {
-				ri[j] -= f * row[j]
-			}
-			ri[q] = 0
-		}
-		if dq := s.wd[q]; dq != 0 {
-			for j := 0; j < ncols; j++ {
-				s.wd[j] -= dq * row[j]
-			}
-		}
-		s.wd[q] = 0
+		s.nz = eliminate(s.wrows, r, q, s.nz)
+		reduce(s.wd, row, q, s.nz)
 		s.wstatus[leaving] = leaveStatus
 		s.wstatus[q] = Basic
 		s.wbasis[r] = q
@@ -547,8 +501,8 @@ func (s *Solver) warmSolution(p *Problem, its int) (*Solution, error) {
 	x := make([]float64, n)
 	copy(x, full[:n])
 	for i := range x {
-		if x[i] < 0 && x[i] > -feasEps {
-			x[i] = 0
+		if x[i] <= 0 && x[i] > -feasEps {
+			x[i] = 0 // also turns -0 into +0
 		}
 	}
 	obj := 0.0

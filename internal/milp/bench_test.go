@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sagrelay/internal/benchprob"
+	"sagrelay/internal/lp"
 	"sagrelay/internal/milp"
 )
 
@@ -16,11 +17,22 @@ import (
 // split.
 func BenchmarkMILPSolve(b *testing.B) {
 	p, isInt := benchprob.ILPQC()
+	benchSolve(b, p, isInt, milp.Options{})
+}
+
+// BenchmarkMILPSolveGAC measures a 10-node search of the GAC-size zone,
+// the node cap the gac-sweep benchmark workload uses.
+func BenchmarkMILPSolveGAC(b *testing.B) {
+	p, isInt := benchprob.GACZone()
+	benchSolve(b, p, isInt, milp.Options{MaxNodes: 10})
+}
+
+func benchSolve(b *testing.B, p *lp.Problem, isInt []bool, opts milp.Options) {
 	b.ReportAllocs()
 	var nodes, pivots, warm, cold int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := milp.Solve(context.Background(), p, isInt, milp.Options{})
+		res, err := milp.Solve(context.Background(), p, isInt, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

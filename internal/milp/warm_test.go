@@ -44,6 +44,55 @@ func TestPivotRegressionGate(t *testing.T) {
 	}
 }
 
+// The exact search of the pinned ILPQC instance. Only a deliberate change
+// to the search algorithm (pricing, ratio tests, tolerances, branching or
+// node order) may update these values; a change to how the simplex
+// arithmetic is carried out must leave every one of them bit-identical.
+const (
+	pinnedNodes     = 97
+	pinnedPivots    = 508
+	pinnedWarm      = 96
+	pinnedCold      = 1
+	pinnedObjective = 0x4000000000000002
+)
+
+// pinnedX is the pinned incumbent's nonzero entries as IEEE-754 bits; every
+// other entry is +0.
+var pinnedX = map[int]uint64{
+	0: 0x3ff0000000000000, 1: 0x3cc5800000000000, 3: 0x3cb2492492492492,
+	5: 0x3ff0000000000000, 9: 0x3c70000000000000, 14: 0x3ff0000000000000,
+	15: 0x3ff0000000000000, 16: 0x3feffffffffffffe, 20: 0x3cf5800000000000,
+	36: 0x3ff0000000000000, 37: 0x3ff0000000000000, 38: 0x3feffffffffffffe,
+	39: 0x3ff0000000000000, 40: 0x3ff0000000000000, 50: 0x3ca0000000000000,
+}
+
+// TestPinnedILPQCSearch holds the pinned instance's search to the recorded
+// node, pivot and warm/cold counts and its answer to the recorded bits.
+func TestPinnedILPQCSearch(t *testing.T) {
+	p, isInt := benchprob.ILPQC()
+	res, err := milp.Solve(context.Background(), p, isInt, milp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != pinnedNodes || res.Pivots != pinnedPivots ||
+		res.WarmSolves != pinnedWarm || res.ColdSolves != pinnedCold {
+		t.Errorf("nodes=%d pivots=%d warm=%d cold=%d, want %d %d %d %d",
+			res.Nodes, res.Pivots, res.WarmSolves, res.ColdSolves,
+			pinnedNodes, pinnedPivots, pinnedWarm, pinnedCold)
+	}
+	if got := math.Float64bits(res.Objective); got != pinnedObjective {
+		t.Errorf("objective bits %#x, want %#x", got, uint64(pinnedObjective))
+	}
+	if len(res.X) != p.NumVariables() {
+		t.Fatalf("len(X) = %d, want %d", len(res.X), p.NumVariables())
+	}
+	for i, x := range res.X {
+		if got, want := math.Float64bits(x), pinnedX[i]; got != want {
+			t.Errorf("x[%d] bits %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 // TestWarmStartConcurrentSolvers runs the same MILP solve on many
 // goroutines at once — the parallel per-zone configuration — and asserts
 // every run returns the identical result. Under -race this also proves the
