@@ -17,7 +17,6 @@ import (
 	"sagrelay/internal/hitting"
 	"sagrelay/internal/lower"
 	"sagrelay/internal/lp"
-	"sagrelay/internal/milp"
 	"sagrelay/internal/scenario"
 	"sagrelay/internal/upper"
 )
@@ -149,29 +148,6 @@ func BenchmarkAblationSliding(b *testing.B) {
 	b.Run("sliding", func(b *testing.B) { run(b, false) })
 }
 
-// Ablation: PRO's stuck-resolution rule (min delta vs first-found).
-// Reports total power; the min-delta rule should not be worse.
-func BenchmarkAblationProOrder(b *testing.B) {
-	run := func(b *testing.B, opts lower.PROOptions) {
-		power := 0.0
-		for i := 0; i < b.N; i++ {
-			sc := benchScenario(b, int64(i%5))
-			res, err := lower.SAMC(context.Background(), sc, lower.SAMCOptions{})
-			if err != nil || !res.Feasible {
-				b.Fatal("coverage failed")
-			}
-			alloc, err := lower.PROWithOptions(context.Background(), sc, res, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			power = alloc.Total
-		}
-		b.ReportMetric(power, "power")
-	}
-	b.Run("min-delta", func(b *testing.B) { run(b, lower.PROOptions{}) })
-	b.Run("naive-order", func(b *testing.B) { run(b, lower.PROOptions{NaiveStuckOrder: true}) })
-}
-
 // Ablation: zone-size cap for the ILP decomposition (solution quality vs
 // solve time; Section IV-A's tractability dial).
 func BenchmarkAblationZones(b *testing.B) {
@@ -192,30 +168,6 @@ func BenchmarkAblationZones(b *testing.B) {
 			b.ReportMetric(relays, "relays")
 		})
 	}
-}
-
-// Ablation: branch-and-bound strategy (node order x rounding heuristic) on
-// the IAC coverage model. Reports relay count; all strategies must agree
-// on feasible instances, so the metric of interest is ns/op.
-func BenchmarkAblationBnBStrategy(b *testing.B) {
-	run := func(b *testing.B, opts milp.Options) {
-		relays := 0.0
-		for i := 0; i < b.N; i++ {
-			sc := benchScenario(b, 3)
-			res, err := lower.IAC(context.Background(), sc, lower.ILPOptions{MILP: opts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Feasible {
-				relays = float64(res.NumRelays())
-			}
-		}
-		b.ReportMetric(relays, "relays")
-	}
-	b.Run("dfs-rounding", func(b *testing.B) { run(b, milp.Options{}) })
-	b.Run("dfs-no-rounding", func(b *testing.B) { run(b, milp.Options{DisableRounding: true}) })
-	b.Run("best-bound", func(b *testing.B) { run(b, milp.Options{Order: milp.OrderBestBound}) })
-	b.Run("first-fractional", func(b *testing.B) { run(b, milp.Options{Branch: milp.BranchFirstFractional}) })
 }
 
 // Micro-benchmarks of the hot substrates.
@@ -252,7 +204,7 @@ func BenchmarkPRO30(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lower.PRO(context.Background(), sc, cover); err != nil {
+		if _, err := lower.PRO(context.Background(), sc, cover, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

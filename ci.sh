@@ -46,6 +46,13 @@ else
 	go test -race -short -timeout 30m ./...
 fi
 
+# The benchmark is a module of its own, so the root ./... never compiles
+# it, yet it drives core, lower, incr, milp, lp and serve through their
+# public APIs. Vet it and run its smoke test (every workload at a tiny size,
+# answers checked) so an API change cannot silently break it.
+echo "== (cd bench && go vet ./... && go test -race ./...)"
+(cd bench && go vet ./... && go test -race -count=1 ./...)
+
 # The solve service gets an extra race-enabled pass without -short. Its
 # end-to-end gates are ordinary tests: a byte-identical cache hit with the
 # trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,

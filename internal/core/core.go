@@ -153,9 +153,9 @@ type Config struct {
 	// passes its shutdown signal here; a nil channel preserves the plain
 	// deadline-detached behaviour.
 	HardStop <-chan struct{}
-	// ZonePowerCache, when non-nil, switches the green coverage-power stage
-	// to the per-zone PRO decomposition (lower.PROZoned), which caches and
-	// reuses per-zone power blocks. Bit-identical to the global PRO.
+	// ZonePowerCache, when non-nil, lets PRO (the green coverage-power
+	// stage and the LPQC fallback) reuse per-zone power blocks; a splice is
+	// bit-identical to sweeping the zone again (see lower.PRO).
 	ZonePowerCache lower.ZonePowerCache
 	// UpperCache, when non-nil, caches the whole connectivity stage (tree +
 	// power) keyed by upper.CacheKey: when a re-solve leaves the coverage
@@ -440,7 +440,7 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 		case PowerBaseline:
 			return lower.BaselinePower(sc, cover), nil
 		case PowerGreen:
-			return lower.PROZoned(c, sc, cover, cfg.ZonePowerCache)
+			return lower.PRO(c, sc, cover, cfg.ZonePowerCache)
 		case PowerOptimal:
 			return lower.OptimalPower(c, sc, cover)
 		default:
@@ -453,7 +453,7 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 	case PowerOptimal:
 		powerLadder = "coverage power: LPQC -> PRO"
 		powerFallback = traced("coverage_power_fallback", func(c context.Context) (*lower.PowerAllocation, error) {
-			return lower.PRO(c, sc, cover)
+			return lower.PRO(c, sc, cover, cfg.ZonePowerCache)
 		})
 	case PowerGreen:
 		powerLadder = "coverage power: PRO -> baseline"

@@ -287,52 +287,3 @@ func TestIncrSingleMoveReuse(t *testing.T) {
 		t.Errorf("reused %d zones, want >= %d (clean zones must splice)", reused, want)
 	}
 }
-
-// TestIncrFastMode checks fast mode's contract: the result is still a valid
-// solution for the mutated scenario and nothing fast produced entered the
-// stores (read-only wiring).
-func TestIncrFastMode(t *testing.T) {
-	sc := clusteredScenario(t, 4)
-	stores := incr.NewStores(0)
-	cfg := solveCfg(core.CoverIAC)
-	stores.Wire(&cfg)
-	mustRun(t, sc, cfg)
-
-	s0 := sc.Subscribers[2]
-	d := &scenario.Delta{Version: scenario.DeltaVersion, Ops: []scenario.DeltaOp{
-		{Op: scenario.OpMoveSS, ID: s0.ID, Pos: &geom.Point{X: s0.Pos.X - 6, Y: s0.Pos.Y + 6}},
-	}}
-	mut, err := d.Apply(sc)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	plan, err := stores.Plan(sc, mut, incr.PlanOptions{Coverage: core.CoverIAC, ILP: cfg.ILP, Fast: true})
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	z0, p0, u0 := stores.Len()
-	fastCfg := solveCfg(core.CoverIAC)
-	stores.WireFast(&fastCfg, plan.Seeder)
-	sol := mustRun(t, mut, fastCfg)
-	if !sol.Feasible {
-		t.Fatal("fast solve infeasible on a feasible instance")
-	}
-	// Same optimal relay count and total power as the exact solve — fast
-	// mode may pick a different optimum, never a worse one.
-	exact := mustRun(t, mut, cfg)
-	if len(sol.Coverage.Relays) != len(exact.Coverage.Relays) {
-		t.Errorf("fast solve placed %d relays, exact %d", len(sol.Coverage.Relays), len(exact.Coverage.Relays))
-	}
-	z1, p1, u1 := stores.Len()
-	if z1 != z0 && p1 != p0 && u1 != u0 {
-		// Note: the exact solve above may legitimately add entries; assert
-		// only that the fast wiring itself is read-only by re-running fast
-		// and demanding no further growth.
-		z1, p1, u1 = stores.Len()
-		mustRun(t, mut, fastCfg)
-		z2, p2, u2 := stores.Len()
-		if z2 != z1 || p2 != p1 || u2 != u1 {
-			t.Errorf("fast solve grew the stores: (%d,%d,%d) -> (%d,%d,%d)", z1, p1, u1, z2, p2, u2)
-		}
-	}
-}

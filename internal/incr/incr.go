@@ -17,11 +17,7 @@
 //
 // The Planner (Plan) computes the dirty set anyway — by diffing the base
 // and mutated partitions' coverage-variant zone hashes — for observability
-// (the dirty-fraction histogram, span attributes) and to assemble fast-mode
-// warm-start seeds. Fast mode (WireFast) additionally seeds dirty-zone
-// branch-and-bound searches with the base scenario's incumbent and final
-// simplex basis; that trades the byte-identity guarantee for latency, so
-// fast solves run against read-only stores and are never cached.
+// (the dirty-fraction histogram, span attributes, per-zone progress rows).
 package incr
 
 import (

@@ -35,10 +35,10 @@ func NewStores(maxEntries int) *Stores {
 	}
 }
 
-// Wire installs the stores into a pipeline configuration in exact mode:
-// zone placements, power blocks and upper-tier results are consulted and
-// populated, and every splice is byte-identical to re-solving. Safe for
-// full solves and incremental re-solves alike.
+// Wire installs the stores into a pipeline configuration: zone placements,
+// power blocks and upper-tier results are consulted and populated, and
+// every splice is byte-identical to re-solving. Safe for full solves and
+// incremental re-solves alike.
 func (s *Stores) Wire(cfg *core.Config) {
 	cfg.SAMC.Cache = &zoneAdapter{s: s.zones}
 	cfg.ILP.Cache = &zoneAdapter{s: s.zones}
@@ -46,24 +46,10 @@ func (s *Stores) Wire(cfg *core.Config) {
 	cfg.UpperCache = &upperAdapter{s: s.upper}
 }
 
-// WireFast installs the stores read-only plus fast-mode warm-start seeding
-// for dirty zones. A fast solve may land on a different (equally good)
-// optimum than a cold solve, so nothing it produces may enter any cache —
-// the adapters still serve hits (those splices are exact) but drop every
-// Put, and the caller must also keep the result out of whole-result caches.
-func (s *Stores) WireFast(cfg *core.Config, seed lower.ZoneSeed) {
-	cfg.SAMC.Cache = &zoneAdapter{s: s.zones, readOnly: true}
-	cfg.ILP.Cache = &zoneAdapter{s: s.zones, readOnly: true}
-	cfg.ILP.Seed = seed
-	cfg.ZonePowerCache = &powerAdapter{s: s.power, readOnly: true}
-	cfg.UpperCache = &upperAdapter{s: s.upper, readOnly: true}
-}
-
 // zoneAdapter implements lower.ZoneCache over the zone store, carrying the
 // incr.zone fault-injection site and the reuse/resolve counters.
 type zoneAdapter struct {
-	s        *lru.Cache[string, *lower.ZoneEntry]
-	readOnly bool
+	s *lru.Cache[string, *lower.ZoneEntry]
 }
 
 func (a *zoneAdapter) Get(key string) (*lower.ZoneEntry, bool, error) {
@@ -82,7 +68,7 @@ func (a *zoneAdapter) Put(key string, e *lower.ZoneEntry) {
 	zonesResolved.Add(1)
 	// Truncated entries are load-dependent incumbents; storing one would
 	// let a later solve splice a non-reproducible placement.
-	if e.Truncated || a.readOnly {
+	if e.Truncated {
 		return
 	}
 	a.s.Add(key, e)
@@ -90,8 +76,7 @@ func (a *zoneAdapter) Put(key string, e *lower.ZoneEntry) {
 
 // powerAdapter implements lower.ZonePowerCache over the power store.
 type powerAdapter struct {
-	s        *lru.Cache[string, []float64]
-	readOnly bool
+	s *lru.Cache[string, []float64]
 }
 
 func (a *powerAdapter) GetPower(key string) ([]float64, bool) {
@@ -99,16 +84,12 @@ func (a *powerAdapter) GetPower(key string) ([]float64, bool) {
 }
 
 func (a *powerAdapter) PutPower(key string, powers []float64) {
-	if a.readOnly {
-		return
-	}
 	a.s.Add(key, powers)
 }
 
 // upperAdapter implements core.UpperCache over the upper store.
 type upperAdapter struct {
-	s        *lru.Cache[string, *core.UpperEntry]
-	readOnly bool
+	s *lru.Cache[string, *core.UpperEntry]
 }
 
 func (a *upperAdapter) Get(key string) (*core.UpperEntry, bool) {
@@ -116,9 +97,6 @@ func (a *upperAdapter) Get(key string) (*core.UpperEntry, bool) {
 }
 
 func (a *upperAdapter) Put(key string, e *core.UpperEntry) {
-	if a.readOnly {
-		return
-	}
 	a.s.Add(key, e)
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"strconv"
 
-	"sagrelay/internal/lp"
 	"sagrelay/internal/scenario"
 )
 
@@ -32,20 +31,9 @@ import (
 // ZoneEntry is one cached zone-level coverage solution. Covers in Relays
 // are ZONE-LOCAL subscriber indices (positions within the zone slice), so
 // the entry is position-independent; callers remap to global indices on
-// reuse. The MILP artifacts (X, Obj, Basis, NumVars) are kept for fast-mode
-// warm-start seeding of related models and are nil/zero for heuristic
-// (SAMC) entries. Entries are shared between jobs and must be treated as
-// immutable.
+// reuse. Entries are shared between jobs and must be treated as immutable.
 type ZoneEntry struct {
 	Relays []Relay
-	// X, Obj are the final incumbent of the zone's branch-and-bound solve.
-	X   []float64
-	Obj float64
-	// Basis is the final incumbent's node relaxation basis (may be nil).
-	Basis *lp.Basis
-	// NumVars is the ILPQC variable count, used to sanity-check a seed
-	// against a re-solved model before reuse.
-	NumVars int
 	// Truncated marks a wall-clock-truncated (load-dependent) solve.
 	// Compliant caches must refuse to store truncated entries; the flag
 	// exists so the solver can hand every outcome to Put and let the cache
@@ -63,18 +51,7 @@ type ZoneCache interface {
 	Put(key string, e *ZoneEntry)
 }
 
-// ZoneSeed supplies fast-mode warm-start artifacts for zones about to be
-// solved: a previous incumbent and final simplex basis from a closely
-// related model (typically the same zone before a small delta). ok=false
-// means no seed. Seeds only steer the search — every returned point is
-// re-verified against the current model before adoption — but they change
-// which of several equally-good optima the search lands on first, so
-// byte-reproducible solves must not seed.
-type ZoneSeed interface {
-	SeedFor(zone []int, numVars int) (x []float64, basis *lp.Basis, ok bool)
-}
-
-// ZonePowerCache caches per-zone PRO power blocks (see PROZoned). Values
+// ZonePowerCache caches per-zone PRO power blocks (see PRO). Values
 // are relay-power slices in zone-relay order; implementations must copy on
 // Put and treat stored slices as immutable.
 type ZonePowerCache interface {
@@ -106,18 +83,6 @@ func (b *keyBuf) hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ZoneKeyILP returns the cache key solveILP uses for one zone under opts —
-// exported so the incremental planner (internal/incr) can look up a base
-// scenario's entries when building fast-mode seeds.
-func ZoneKeyILP(sc *scenario.Scenario, zone []int, method string, opts ILPOptions) string {
-	return ilpZoneKey(sc, zone, method, opts.withDefaults())
-}
-
-// ZoneKeySAMC is ZoneKeyILP's SAMC counterpart.
-func ZoneKeySAMC(sc *scenario.Scenario, zone []int, opts SAMCOptions) string {
-	return samcZoneKey(sc, zone, opts.withDefaults())
-}
-
 // ilpZoneKey content-addresses one zone's ILPQC solve: method, the
 // determinism-relevant options, and the coverage-variant zone bytes.
 func ilpZoneKey(sc *scenario.Scenario, zone []int, method string, opts ILPOptions) string {
@@ -127,12 +92,6 @@ func ilpZoneKey(sc *scenario.Scenario, zone []int, method string, opts ILPOption
 	b.WriteByte('\n')
 	b.field("grid", opts.GridSize)
 	b.count("maxnodes", opts.MaxNodes)
-	b.count("order", int(opts.MILP.Order))
-	b.count("branch", int(opts.MILP.Branch))
-	if opts.MILP.DisableRounding {
-		b.count("norounding", 1)
-	}
-	b.field("inttol", opts.MILP.IntTol)
 	b.Write(sc.CanonicalZoneBytes(zone, scenario.ZoneHashCoverage))
 	return b.hash()
 }

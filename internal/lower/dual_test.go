@@ -193,7 +193,7 @@ func TestTheorem1Bound(t *testing.T) {
 		if err != nil || !res.Feasible {
 			continue
 		}
-		pro, err := PRO(context.Background(), sc, res)
+		pro, err := PRO(context.Background(), sc, res, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

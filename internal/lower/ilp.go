@@ -32,20 +32,11 @@ type ILPOptions struct {
 	// relays are assembled in zone order, so the result is identical at any
 	// worker count.
 	Workers int
-	// MILP carries search-strategy knobs (node order, branching rule,
-	// rounding heuristic) through to the branch-and-bound solver; its
-	// MaxNodes/TimeLimit/Incumbent fields are overridden per zone.
-	MILP milp.Options
 	// Cache, when non-nil, is consulted before each zone's branch-and-bound
 	// solve and handed every solved zone afterwards (see ZoneCache). A hit
 	// splices the cached placement verbatim, which is byte-identical to
 	// re-solving: the key covers every determinism-relevant input.
 	Cache ZoneCache
-	// Seed, when non-nil, supplies fast-mode warm starts (previous
-	// incumbent + final basis) for zones the cache misses. Seeding is NOT
-	// byte-reproducible — see ZoneSeed — so callers must not combine it
-	// with result caching.
-	Seed ZoneSeed
 }
 
 // DefaultMaxZoneSS is the default sub-zone size cap applied when
@@ -202,14 +193,7 @@ func solveILP(ctx context.Context, sc *scenario.Scenario, opts ILPOptions, metho
 		}
 		if opts.Cache != nil && mres != nil {
 			if local, ok := localizeRelays(relays, zone); ok {
-				opts.Cache.Put(cacheKey, &ZoneEntry{
-					Relays:    local,
-					X:         mres.X,
-					Obj:       mres.Objective,
-					Basis:     mres.Basis,
-					NumVars:   len(mres.X),
-					Truncated: truncated,
-				})
+				opts.Cache.Put(cacheKey, &ZoneEntry{Relays: local, Truncated: truncated})
 			}
 		}
 		zoneRelays[zi] = relays
@@ -367,30 +351,10 @@ func solveZoneILP(ctx context.Context, sc *scenario.Scenario, zone []int, disks 
 	for i := range isInt {
 		isInt[i] = true
 	}
-	mopts := opts.MILP
-	mopts.MaxNodes = opts.MaxNodes
-	mopts.TimeLimit = opts.TimeLimit
-	mopts.Incumbent = nil
-	mopts.IncumbentObj = 0
+	mopts := milp.Options{MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit}
 	if inc, obj, ok := greedyIncumbent(sc, zone, disks, cands, w, beta, pairVar, prob.NumVariables(), tVar); ok {
 		mopts.Incumbent = inc
 		mopts.IncumbentObj = obj
-	}
-	// Fast-mode warm start: adopt a previous solve's incumbent when it is
-	// still feasible for (and cheaper than the greedy start of) the current
-	// model, and seed the root relaxation with its final basis. Both only
-	// steer the search; CheckFeasible re-verifies the point against the
-	// current constraints before adoption.
-	if opts.Seed != nil {
-		if x, basis, ok := opts.Seed.SeedFor(zone, prob.NumVariables()); ok {
-			if feas, ferr := prob.CheckFeasible(x, 1e-6); ferr == nil && feas {
-				if obj, oerr := prob.Objective(x); oerr == nil && (mopts.Incumbent == nil || obj < mopts.IncumbentObj) {
-					mopts.Incumbent = x
-					mopts.IncumbentObj = obj
-				}
-			}
-			mopts.SeedBasis = basis
-		}
 	}
 	mres, err = milp.Solve(ctx, prob, isInt, mopts)
 	if err != nil {

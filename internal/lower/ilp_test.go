@@ -230,27 +230,3 @@ func TestSkipSlidingAblation(t *testing.T) {
 			with.NumRelays(), without.NumRelays())
 	}
 }
-
-// TestPRONaiveOrderNeverBelowOptimal: the ablation variant is still a
-// valid allocation and never beats the LP optimum.
-func TestPRONaiveOrderStillValid(t *testing.T) {
-	sc := testScenario(t, 500, 15, 53)
-	res, err := SAMC(context.Background(), sc, SAMCOptions{})
-	if err != nil || !res.Feasible {
-		t.Fatalf("SAMC failed")
-	}
-	naive, err := PROWithOptions(context.Background(), sc, res, PROOptions{NaiveStuckOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPower(sc, res, naive.Powers); err != nil {
-		t.Errorf("naive allocation invalid: %v", err)
-	}
-	opt, err := OptimalPower(context.Background(), sc, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive.Total < opt.Total-1e-6 {
-		t.Errorf("naive PRO %v below LP optimum %v", naive.Total, opt.Total)
-	}
-}

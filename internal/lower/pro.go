@@ -133,14 +133,6 @@ func (ctx *powerContext) psnr(i int, powers []float64) float64 {
 	return p
 }
 
-// PROOptions tune Power Reduction Optimization for ablation studies.
-type PROOptions struct {
-	// NaiveStuckOrder settles the first stuck relay instead of the one with
-	// the minimal gap Psnr - Pc (Alg. 6, Step 11). The paper's rule settles
-	// the cheapest compromise first so later relays see less interference.
-	NaiveStuckOrder bool
-}
-
 // PRO implements Algorithm 6, Power Reduction Optimization: starting from
 // all relays at PMax, it repeatedly drops to the coverage power Pc every
 // relay whose covered subscribers' SNR survives the drop; when stuck, it
@@ -148,14 +140,24 @@ type PROOptions struct {
 // continues. The result is a (1+phi)-approximation of the optimal power
 // cost (Theorem 1).
 //
+// The sweep runs zone by zone. interferenceAt sums only same-zone relays
+// (zone independence, Alg. 2), so one zone's power trajectory depends on
+// zone-local state alone, and the per-zone sweeps reproduce the global
+// sweep bit for bit: in the global sweep a failed drop restores the exact
+// previous float, extra sweeps over an already-stuck zone are no-ops, and
+// a stuck-settle always settles the global minimum-delta relay, which is a
+// fortiori its own zone's minimum. Within a zone both visit relays in the
+// same ascending order and accumulate interference in the same order; the
+// Total is summed in relay order. When the relays are not grouped by zone,
+// one block [0, n) runs the global sweep itself.
+//
+// A non-nil cache is consulted for each zone block before sweeping it and
+// handed every block swept; a hit splices the cached powers, which is
+// bit-identical to sweeping again. A nil cache skips the key hashing.
+//
 // Cancellation is cooperative: the relaxation sweep checks cctx once per
 // round, so a cancelled context aborts within one O(relays²) pass.
-func PRO(cctx context.Context, sc *scenario.Scenario, res *Result) (*PowerAllocation, error) {
-	return PROWithOptions(cctx, sc, res, PROOptions{})
-}
-
-// PROWithOptions runs PRO with explicit knobs (see PROOptions).
-func PROWithOptions(cctx context.Context, sc *scenario.Scenario, res *Result, popts PROOptions) (*PowerAllocation, error) {
+func PRO(cctx context.Context, sc *scenario.Scenario, res *Result, cache ZonePowerCache) (*PowerAllocation, error) {
 	if cctx == nil {
 		cctx = context.Background()
 	}
@@ -167,28 +169,101 @@ func PROWithOptions(cctx context.Context, sc *scenario.Scenario, res *Result, po
 		return nil, err
 	}
 	n := len(res.Relays)
-	powers := make([]float64, n)
-	inK := make([]bool, n)
-	remaining := n
-	for i := range powers {
-		powers[i] = sc.PMax
-		inK[i] = true
+	blocks, ok := zoneBlocks(ctx)
+	if !ok {
+		// The power cache key covers one zone's relays only, not the zone
+		// structure an ungrouped sweep depends on: never cache it.
+		blocks, cache = []block{{lo: 0, hi: n}}, nil
 	}
+	span.SetInt("zones", int64(len(blocks)))
+	powers := make([]float64, n)
+	rounds, reused := 0, 0
+	for _, blk := range blocks {
+		var key string
+		if cache != nil {
+			key = powerZoneKey(sc, res.Relays[blk.lo:blk.hi])
+			if cached, hit := cache.GetPower(key); hit && len(cached) == blk.hi-blk.lo {
+				copy(powers[blk.lo:blk.hi], cached)
+				reused++
+				continue
+			}
+		}
+		r, err := ctx.proBlock(cctx, blk.lo, blk.hi, powers)
+		if err != nil {
+			return nil, err
+		}
+		rounds += r
+		if cache != nil {
+			cache.PutPower(key, append([]float64(nil), powers[blk.lo:blk.hi]...))
+		}
+	}
+	span.SetInt("rounds", int64(rounds))
+	span.SetInt("zones_reused", int64(reused))
+	alloc := &PowerAllocation{Powers: powers, Method: "PRO"}
+	for _, p := range powers {
+		alloc.Total += p
+	}
+	if err := VerifyPower(sc, res, powers); err != nil {
+		return nil, fmt.Errorf("lower: PRO: produced invalid allocation: %w", err)
+	}
+	return alloc, nil
+}
+
+// block is a contiguous relay index range [lo, hi) belonging to one zone.
+type block struct{ lo, hi int }
+
+// zoneBlocks splits the relay list into per-zone contiguous blocks.
+// ok=false when a relay has no zone (empty Covers, or a result without
+// zones) or the list is not grouped in non-decreasing zone order.
+func zoneBlocks(ctx *powerContext) ([]block, bool) {
+	var blocks []block
+	prev := -1
+	for i, z := range ctx.rZone {
+		if z < 0 {
+			return nil, false
+		}
+		if z != prev {
+			if z < prev {
+				return nil, false
+			}
+			blocks = append(blocks, block{lo: i, hi: i + 1})
+			prev = z
+		} else {
+			blocks[len(blocks)-1].hi = i + 1
+		}
+	}
+	return blocks, true
+}
+
+// proBlock runs the PRO relaxation restricted to relays [lo, hi), writing
+// their powers into the full-length powers vector, and returns the number
+// of sweeps it took. When [lo, hi) is one zone's block, interferenceAt and
+// psnr skip every relay outside it, so evaluating them with a
+// partially-filled vector is exact — entries outside the block are never
+// read. Over [0, n) it is the global sweep of Alg. 6.
+func (ctx *powerContext) proBlock(cctx context.Context, lo, hi int, powers []float64) (int, error) {
+	sc := ctx.sc
+	remaining := hi - lo
 	rounds := 0
+	inK := make([]bool, hi-lo)
+	for i := lo; i < hi; i++ {
+		powers[i] = sc.PMax
+		inK[i-lo] = true
+	}
 	for remaining > 0 {
 		if err := cctx.Err(); err != nil {
-			return nil, fmt.Errorf("lower: PRO: %w", err)
+			return 0, fmt.Errorf("lower: PRO: %w", err)
 		}
 		rounds++
 		changed := false
-		for i := 0; i < n; i++ {
-			if !inK[i] {
+		for i := lo; i < hi; i++ {
+			if !inK[i-lo] {
 				continue
 			}
 			old := powers[i]
 			powers[i] = ctx.pmin[i]
 			if ctx.snrOKForRelay(i, powers) {
-				inK[i] = false
+				inK[i-lo] = false
 				remaining--
 				changed = true
 			} else {
@@ -202,8 +277,8 @@ func PROWithOptions(cctx context.Context, sc *scenario.Scenario, res *Result, po
 		// (Alg. 6, Steps 10-13).
 		best, bestDelta := -1, math.Inf(1)
 		bestP := 0.0
-		for i := 0; i < n; i++ {
-			if !inK[i] {
+		for i := lo; i < hi; i++ {
+			if !inK[i-lo] {
 				continue
 			}
 			p := ctx.psnr(i, powers)
@@ -216,26 +291,15 @@ func PROWithOptions(cctx context.Context, sc *scenario.Scenario, res *Result, po
 			if delta := p - ctx.pmin[i]; delta < bestDelta {
 				best, bestDelta, bestP = i, delta, p
 			}
-			if popts.NaiveStuckOrder && best >= 0 {
-				break // ablation: take the first stuck relay as-is
-			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("lower: PRO: internal: stuck with %d relays unresolved", remaining)
+			return 0, fmt.Errorf("lower: PRO: internal: stuck with %d relays unresolved", remaining)
 		}
 		powers[best] = bestP
-		inK[best] = false
+		inK[best-lo] = false
 		remaining--
 	}
-	span.SetInt("rounds", int64(rounds))
-	alloc := &PowerAllocation{Powers: powers, Method: "PRO"}
-	for _, p := range powers {
-		alloc.Total += p
-	}
-	if err := VerifyPower(sc, res, powers); err != nil {
-		return nil, fmt.Errorf("lower: PRO: produced invalid allocation: %w", err)
-	}
-	return alloc, nil
+	return rounds, nil
 }
 
 // OptimalPower solves the paper's LPQC (eqs. 3.6-3.9) exactly: with the
@@ -250,6 +314,17 @@ func PROWithOptions(cctx context.Context, sc *scenario.Scenario, res *Result, po
 // It is the benchmark the paper compares PRO against ("optimal" curves in
 // Figs. 4a and 5a). The LP solve polls cctx between simplex pivots, so a
 // cancelled context aborts promptly.
+//
+// The rows of (3.8) for one relay together say P_i >= Pc_i, its coverage
+// power, so the LP is solved in the slack Q_i = P_i - Pc_i over the bounds
+// [0, PMax - Pc_i], with each SNR row divided by g_a(j),j. Every
+// coefficient is then the serving relay's 1 or an interference ratio
+// beta*g_kj/g_a(j),j, which sum to at most 1 on a placement that is
+// SNR-feasible at PMax. Written as the paper states it, the rows mix
+// received powers and gains many orders of magnitude apart, and the
+// simplex returned "optimal" points that broke the coverage rows or the
+// power bounds. The answer is checked with VerifyPower before it is
+// returned.
 func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*PowerAllocation, error) {
 	if cctx == nil {
 		cctx = context.Background()
@@ -265,27 +340,26 @@ func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*Po
 	n := len(res.Relays)
 	vars := make([]int, n)
 	for i := 0; i < n; i++ {
-		vars[i] = prob.AddVariable(fmt.Sprintf("P%d", i), 1)
-		if err := prob.SetUpperBound(vars[i], sc.PMax); err != nil {
+		vars[i] = prob.AddVariable(fmt.Sprintf("Q%d", i), 1)
+		if err := prob.SetUpperBound(vars[i], sc.PMax-ctx.pmin[i]); err != nil {
 			return nil, fmt.Errorf("lower: optimal power: %w", err)
 		}
 	}
+	// SNR (3.9) in Q: Q_a - sum_k c_k Q_k >= sum_k c_k Pc_k - Pc_a with
+	// c_k = beta * g_kj / g_a(j),j.
 	for j := range sc.Subscribers {
 		a := res.AssignOf[j]
-		// Coverage (3.8).
-		cov := []lp.Term{{Var: vars[a], Coef: ctx.gain[a][j]}}
-		if err := prob.AddConstraint(cov, lp.GE, sc.Subscribers[j].MinRxPower); err != nil {
-			return nil, fmt.Errorf("lower: optimal power: %w", err)
-		}
-		// SNR (3.9), linear in P with the assignment fixed.
-		terms := []lp.Term{{Var: vars[a], Coef: ctx.gain[a][j]}}
+		terms := []lp.Term{{Var: vars[a], Coef: 1}}
+		rhs := -ctx.pmin[a]
 		for k := 0; k < n; k++ {
 			if k == a || !ctx.sameZone(k, j) {
 				continue
 			}
-			terms = append(terms, lp.Term{Var: vars[k], Coef: -ctx.beta * ctx.gain[k][j]})
+			c := ctx.beta * ctx.gain[k][j] / ctx.gain[a][j]
+			terms = append(terms, lp.Term{Var: vars[k], Coef: -c})
+			rhs += c * ctx.pmin[k]
 		}
-		if err := prob.AddConstraint(terms, lp.GE, 0); err != nil {
+		if err := prob.AddConstraint(terms, lp.GE, rhs); err != nil {
 			return nil, fmt.Errorf("lower: optimal power: %w", err)
 		}
 	}
@@ -297,10 +371,13 @@ func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*Po
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("lower: optimal power: LP status %v (coverage result should be PMax-feasible)", sol.Status)
 	}
-	alloc := &PowerAllocation{
-		Powers: append([]float64(nil), sol.X[:n]...),
-		Total:  sol.Objective,
-		Method: "optimal",
+	alloc := &PowerAllocation{Powers: make([]float64, n), Method: "optimal"}
+	for i := range alloc.Powers {
+		alloc.Powers[i] = ctx.pmin[i] + sol.X[i]
+		alloc.Total += alloc.Powers[i]
+	}
+	if err := VerifyPower(sc, res, alloc.Powers); err != nil {
+		return nil, fmt.Errorf("lower: optimal power: produced invalid allocation: %w", err)
 	}
 	return alloc, nil
 }

@@ -80,78 +80,24 @@ func (s Status) String() string {
 	}
 }
 
-// NodeOrder selects the search-tree exploration strategy.
-type NodeOrder int
+// intTol is the integrality tolerance: a variable within intTol of an
+// integer counts as integral.
+const intTol = 1e-6
 
-// Node orders. (Enums start at 1 so the zero value selects the default.)
-const (
-	// OrderDFS explores depth-first (default): low memory, finds integer
-	// incumbents fast on covering models.
-	OrderDFS NodeOrder = iota + 1
-	// OrderBestBound always expands the node with the smallest parent
-	// bound: fewer nodes to prove optimality, more memory.
-	OrderBestBound
-)
-
-// BranchRule selects the fractional variable to branch on.
-type BranchRule int
-
-// Branch rules. (Enums start at 1 so the zero value selects the default.)
-const (
-	// BranchMostFractional picks the variable farthest from integrality
-	// (default).
-	BranchMostFractional BranchRule = iota + 1
-	// BranchFirstFractional picks the lowest-index fractional variable
-	// (Bland-style; cheap, often deeper trees).
-	BranchFirstFractional
-)
-
-// Options tune the branch-and-bound search. The zero value gives sensible
-// defaults via (Options).withDefaults.
+// Options tune the branch-and-bound search. The search itself is fixed:
+// depth-first, branching on the most fractional variable, with the
+// rounding heuristic tried at every fractional node.
 type Options struct {
 	// MaxNodes caps explored nodes (0 = default 200000).
 	MaxNodes int
 	// TimeLimit caps wall-clock search time (0 = none).
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance (0 = 1e-6).
-	IntTol float64
 	// Incumbent, when non-nil, warm-starts the search with a known
 	// integer-feasible point (e.g. from a greedy heuristic); its objective
 	// prunes the tree from the first node.
 	Incumbent []float64
 	// IncumbentObj is the objective of Incumbent.
 	IncumbentObj float64
-	// Order selects the node exploration strategy (0 = OrderDFS).
-	Order NodeOrder
-	// Branch selects the branching rule (0 = BranchMostFractional).
-	Branch BranchRule
-	// DisableRounding turns off the rounding primal heuristic that tries
-	// to convert each fractional node relaxation into an incumbent.
-	DisableRounding bool
-	// SeedBasis, when non-nil, warm-starts the ROOT relaxation from a
-	// stored simplex basis (e.g. the final basis of a previous solve of a
-	// closely related model) instead of solving it cold. The basis must
-	// cover variables + constraints columns of the current model; a
-	// mismatched length is ignored. Like every warm start, this changes
-	// only which vertex of a degenerate optimal face the simplex lands on
-	// — callers with a byte-reproducibility contract must not seed.
-	SeedBasis *lp.Basis
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 200000
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
-	}
-	if o.Order == 0 {
-		o.Order = OrderDFS
-	}
-	if o.Branch == 0 {
-		o.Branch = BranchMostFractional
-	}
-	return o
 }
 
 // Result is the outcome of a MILP solve.
@@ -179,13 +125,6 @@ type Result struct {
 	// must treat DeadlineHit results as approximate (see internal/lower's
 	// Truncated flag and the solve service's no-cache rule).
 	DeadlineHit bool
-	// Basis is the optimal simplex basis of the node relaxation that
-	// produced the final incumbent, when that incumbent was adopted from an
-	// integer-feasible relaxation (nil when the incumbent came from the
-	// rounding heuristic or the Options.Incumbent seed, or when there is no
-	// incumbent). Stored by zone caches and replayed through
-	// Options.SeedBasis to warm-start re-solves of closely related models.
-	Basis *lp.Basis
 }
 
 // Gap returns the relative optimality gap |obj-bound|/max(1,|obj|), or 0
@@ -209,8 +148,7 @@ type node struct {
 	// node's solve via the dual simplex. Memory trade-off: one byte per LP
 	// column (variables + constraints), shared by pointer between siblings
 	// — a few hundred bytes per open node on per-zone ILPQC instances,
-	// dwarfed by the node's own bound maps, even under OrderBestBound's
-	// wide frontiers. nil (root) means a cold solve.
+	// dwarfed by the node's own bound maps. nil (root) means a cold solve.
 	basis *lp.Basis
 }
 
@@ -272,7 +210,9 @@ func solve(ctx context.Context, base *lp.Problem, isInt []bool, opts Options) (*
 	if !anyInt {
 		return nil, ErrNoIntegers
 	}
-	opts = opts.withDefaults()
+	if opts.MaxNodes <= 0 {
+		opts.MaxNodes = 200000
+	}
 
 	// Armed at most once per solve; nil when no ProgressFunc is installed,
 	// in which case every emit below is a single pointer comparison.
@@ -290,12 +230,8 @@ func solve(ctx context.Context, base *lp.Problem, isInt []bool, opts Options) (*
 		res.Status = Feasible
 	}
 
-	front := newFrontier(opts.Order)
-	root := node{lower: nil, upper: nil, bound: math.Inf(-1)}
-	if opts.SeedBasis != nil && opts.SeedBasis.Len() == base.NumVariables()+base.NumConstraints() {
-		root.basis = opts.SeedBasis
-	}
-	front.push(root)
+	front := &dfsStack{}
+	front.push(node{bound: math.Inf(-1)})
 	rootSolved := false
 
 	// One Solver serves every node: the base problem is never cloned — each
@@ -384,28 +320,24 @@ func solve(ctx context.Context, base *lp.Problem, isInt []bool, opts Options) (*
 		if sol.Objective >= res.Objective-1e-9 {
 			continue // bound prune
 		}
-		branchVar := pickBranch(sol.X, isInt, opts.IntTol, opts.Branch)
+		branchVar := pickBranch(sol.X, isInt)
 		if branchVar < 0 {
 			// Integer feasible: new incumbent. sol.X is freshly allocated per
 			// solve, so it can be adopted without copying.
 			res.X = sol.X
 			res.Objective = sol.Objective
 			res.Status = Feasible
-			res.Basis = sol.Basis
 			if progress != nil {
 				emitProgress(progress, KindIncumbent, res, false)
 			}
 			continue
 		}
-		if !opts.DisableRounding {
-			if x, obj, ok := tryRounding(base, sol.X, isInt, roundNearest, roundUp); ok && obj < res.Objective-1e-9 {
-				res.X = x
-				res.Objective = obj
-				res.Status = Feasible
-				res.Basis = nil
-				if progress != nil {
-					emitProgress(progress, KindIncumbent, res, false)
-				}
+		if x, obj, ok := tryRounding(base, sol.X, isInt, roundNearest, roundUp); ok && obj < res.Objective-1e-9 {
+			res.X = x
+			res.Objective = obj
+			res.Status = Feasible
+			if progress != nil {
+				emitProgress(progress, KindIncumbent, res, false)
 			}
 		}
 		v := sol.X[branchVar]
@@ -473,21 +405,7 @@ func tryRounding(base *lp.Problem, x []float64, isInt []bool, nearest, up []floa
 	return nil, 0, false
 }
 
-// frontier abstracts the open-node container.
-type frontier interface {
-	push(node)
-	pop() (node, bool)
-	len() int
-}
-
-func newFrontier(order NodeOrder) frontier {
-	if order == OrderBestBound {
-		return &boundHeap{}
-	}
-	return &dfsStack{}
-}
-
-// dfsStack is a LIFO frontier.
+// dfsStack is the LIFO stack of open nodes.
 type dfsStack struct{ nodes []node }
 
 func (s *dfsStack) push(n node) { s.nodes = append(s.nodes, n) }
@@ -503,69 +421,18 @@ func (s *dfsStack) pop() (node, bool) {
 
 func (s *dfsStack) len() int { return len(s.nodes) }
 
-// boundHeap is a min-heap on node bounds.
-type boundHeap struct{ nodes []node }
-
-func (h *boundHeap) push(n node) {
-	h.nodes = append(h.nodes, n)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.nodes[parent].bound <= h.nodes[i].bound {
-			break
-		}
-		h.nodes[parent], h.nodes[i] = h.nodes[i], h.nodes[parent]
-		i = parent
-	}
-}
-
-func (h *boundHeap) pop() (node, bool) {
-	if len(h.nodes) == 0 {
-		return node{}, false
-	}
-	top := h.nodes[0]
-	last := len(h.nodes) - 1
-	h.nodes[0] = h.nodes[last]
-	h.nodes = h.nodes[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.nodes) && h.nodes[l].bound < h.nodes[smallest].bound {
-			smallest = l
-		}
-		if r < len(h.nodes) && h.nodes[r].bound < h.nodes[smallest].bound {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.nodes[i], h.nodes[smallest] = h.nodes[smallest], h.nodes[i]
-		i = smallest
-	}
-	return top, true
-}
-
-func (h *boundHeap) len() int { return len(h.nodes) }
-
-// pickBranch returns the integer variable to branch on per the rule, or -1
-// when all integer variables are integral within tol.
-func pickBranch(x []float64, isInt []bool, tol float64, rule BranchRule) int {
+// pickBranch returns the most fractional integer variable (the one farthest
+// from its nearest integer), or -1 when all integer variables are integral
+// within intTol.
+func pickBranch(x []float64, isInt []bool) int {
 	best := -1
-	bestFrac := tol
+	bestFrac := intTol
 	for i, xi := range x {
 		if !isInt[i] {
 			continue
 		}
 		frac := math.Abs(xi - math.Round(xi))
-		if frac <= tol {
-			continue
-		}
-		if rule == BranchFirstFractional {
-			return i
-		}
 		if frac > bestFrac {
-			// Most fractional: distance from nearest integer, maximized.
 			best, bestFrac = i, frac
 		}
 	}

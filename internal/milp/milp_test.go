@@ -259,70 +259,18 @@ func TestMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6) // up to 7 binaries -> brute force 128 points
-		costs := make([]float64, n)
-		for i := range costs {
-			costs[i] = 1 + rng.Float64()*4
-		}
-		p, isInt := binProblem(costs)
 		m := 1 + rng.Intn(8)
-		rowsets := make([][]int, m)
-		for k := 0; k < m; k++ {
-			for i := 0; i < n; i++ {
-				if rng.Intn(2) == 0 {
-					rowsets[k] = append(rowsets[k], i)
-				}
-			}
-			if len(rowsets[k]) == 0 {
-				rowsets[k] = []int{rng.Intn(n)}
-			}
-			terms := make([]lp.Term, len(rowsets[k]))
-			for i, v := range rowsets[k] {
-				terms[i] = lp.Term{Var: v, Coef: 1}
-			}
-			if err := p.AddConstraint(terms, lp.GE, 1); err != nil {
-				return false
-			}
-		}
+		p, isInt, want := coveringInstance(rng.Int63(), n, m)
 		res, err := Solve(context.Background(), p, isInt, Options{})
 		if err != nil {
 			return false
 		}
-		// Brute force.
-		best := math.Inf(1)
-		for mask := 0; mask < 1<<n; mask++ {
-			ok := true
-			for _, rs := range rowsets {
-				hit := false
-				for _, v := range rs {
-					if mask&(1<<v) != 0 {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			c := 0.0
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					c += costs[i]
-				}
-			}
-			if c < best {
-				best = c
-			}
-		}
-		if math.IsInf(best, 1) {
+		if math.IsInf(want, 1) {
 			return res.Status == Infeasible
 		}
-		return res.Status == Optimal && almost(res.Objective, best, 1e-6)
+		return res.Status == Optimal && almost(res.Objective, want, 1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

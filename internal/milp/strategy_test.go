@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sagrelay/internal/lp"
 )
@@ -71,18 +72,25 @@ func coveringInstance(seed int64, n, m int) (*lp.Problem, []bool, float64) {
 	return p, isInt, best
 }
 
-// Every strategy combination must find the same optimum.
+// Every remaining way to run the search (cold, warm-started from the
+// trivial all-ones cover, under a generous wall-clock limit) must find the
+// same optimum.
 func TestStrategiesAgree(t *testing.T) {
-	strategies := []Options{
-		{},
-		{Order: OrderBestBound},
-		{Branch: BranchFirstFractional},
-		{Order: OrderBestBound, Branch: BranchFirstFractional},
-		{DisableRounding: true},
-		{Order: OrderBestBound, DisableRounding: true},
-	}
 	f := func(seed int64) bool {
 		p, isInt, want := coveringInstance(seed, 2+int(uint(seed)%5), 1+int(uint(seed)%7))
+		all := make([]float64, p.NumVariables())
+		for i := range all {
+			all[i] = 1
+		}
+		allObj, err := p.Objective(all)
+		if err != nil {
+			return false
+		}
+		strategies := []Options{
+			{},
+			{Incumbent: all, IncumbentObj: allObj},
+			{TimeLimit: time.Minute},
+		}
 		for _, opts := range strategies {
 			res, err := Solve(context.Background(), p, isInt, opts)
 			if err != nil {
@@ -105,68 +113,6 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 }
 
-// The rounding heuristic must never degrade results and usually saves
-// nodes on pure covering models (where round-up is always feasible).
-func TestRoundingSavesNodesOnCovering(t *testing.T) {
-	p, isInt, want := coveringInstance(7, 12, 18)
-	with, err := Solve(context.Background(), p, isInt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Solve(context.Background(), p, isInt, Options{DisableRounding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Status != Optimal || without.Status != Optimal {
-		t.Fatalf("status: %v / %v", with.Status, without.Status)
-	}
-	if math.Abs(with.Objective-want) > 1e-6 || math.Abs(without.Objective-want) > 1e-6 {
-		t.Errorf("objectives %v / %v, want %v", with.Objective, without.Objective, want)
-	}
-	if with.Nodes > without.Nodes {
-		t.Logf("note: rounding used more nodes (%d vs %d) on this instance", with.Nodes, without.Nodes)
-	}
-}
-
-func TestBestBoundProvesOptimalityEarly(t *testing.T) {
-	// On instances with a tight LP relaxation, best-bound should not need
-	// dramatically more nodes than DFS; sanity-check both terminate with
-	// identical objectives.
-	p, isInt, want := coveringInstance(11, 10, 14)
-	dfs, err := Solve(context.Background(), p, isInt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := Solve(context.Background(), p, isInt, Options{Order: OrderBestBound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dfs.Objective-bb.Objective) > 1e-6 || math.Abs(dfs.Objective-want) > 1e-6 {
-		t.Errorf("objectives differ: dfs %v, best-bound %v, want %v", dfs.Objective, bb.Objective, want)
-	}
-}
-
-func TestBoundHeapOrdering(t *testing.T) {
-	h := &boundHeap{}
-	for _, b := range []float64{5, 1, 3, 2, 4} {
-		h.push(node{bound: b})
-	}
-	prev := math.Inf(-1)
-	for h.len() > 0 {
-		n, ok := h.pop()
-		if !ok {
-			t.Fatal("pop failed with items left")
-		}
-		if n.bound < prev {
-			t.Fatalf("heap emitted %v after %v", n.bound, prev)
-		}
-		prev = n.bound
-	}
-	if _, ok := h.pop(); ok {
-		t.Error("pop on empty heap succeeded")
-	}
-}
-
 func TestDfsStackOrdering(t *testing.T) {
 	s := &dfsStack{}
 	s.push(node{bound: 1})
@@ -185,13 +131,10 @@ func TestDfsStackOrdering(t *testing.T) {
 func TestPickBranchRules(t *testing.T) {
 	x := []float64{0.1, 0.5, 0.9}
 	isInt := []bool{true, true, true}
-	if got := pickBranch(x, isInt, 1e-6, BranchMostFractional); got != 1 {
+	if got := pickBranch(x, isInt); got != 1 {
 		t.Errorf("most-fractional picked %d, want 1", got)
 	}
-	if got := pickBranch(x, isInt, 1e-6, BranchFirstFractional); got != 0 {
-		t.Errorf("first-fractional picked %d, want 0", got)
-	}
-	if got := pickBranch([]float64{1, 0, 2}, isInt, 1e-6, BranchMostFractional); got != -1 {
+	if got := pickBranch([]float64{1, 0, 2}, isInt); got != -1 {
 		t.Errorf("integral point picked %d", got)
 	}
 }

@@ -35,7 +35,7 @@ type Job struct {
 	// retained. Immutable after publication.
 	ScenarioHash string
 	// incr is non-nil for jobs submitted through Resolve: the dirty-set
-	// plan and fast flag runJob consults. Immutable after publication.
+	// plan runJob consults. Immutable after publication.
 	incr *incrMeta
 	// admit carries the cost-model estimates behind this job's admission
 	// (zero for cache hits and journal-replayed jobs), reported on the
@@ -92,7 +92,6 @@ type jobStatus struct {
 	TotalZones    int     `json:"total_zones,omitempty"`
 	DirtyZones    int     `json:"dirty_zones,omitempty"`
 	DirtyFraction float64 `json:"dirty_fraction,omitempty"`
-	Fast          bool    `json:"fast,omitempty"`
 }
 
 func (j *Job) status() jobStatus {
@@ -117,7 +116,6 @@ func (j *Job) status() jobStatus {
 		st.TotalZones = m.plan.TotalZones
 		st.DirtyZones = m.plan.DirtyZones
 		st.DirtyFraction = m.plan.DirtyFraction
-		st.Fast = m.fast
 	}
 	return st
 }

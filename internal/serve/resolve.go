@@ -30,20 +30,14 @@ type ResolveRequest struct {
 	// Options are the solve options for the mutated scenario. They need not
 	// match the base job's options, but zone reuse is maximal when they do.
 	Options SolveOptions `json:"options"`
-	// Fast opts into warm-start seeding of dirty-zone solves from the base
-	// scenario's cached incumbents and simplex bases. Fast results may land
-	// on a different (equally good) optimum, so they forfeit the
-	// byte-identity guarantee and are never cached.
-	Fast bool `json:"fast,omitempty"`
 }
 
-// incrMeta rides on a resolve's Job from Resolve to runJob: the dirty-set
-// plan (for the incr span and fast-mode seeds) and the fast flag that keeps
-// the result out of every cache. Immutable after the job is published.
+// incrMeta rides on a resolve's Job from Resolve to runJob: the base's
+// hash and the dirty-set plan, for the incr span and the job status.
+// Immutable after the job is published.
 type incrMeta struct {
 	baseHash string
 	plan     *incr.Plan
-	fast     bool
 }
 
 // Resolve applies a delta to a retained base scenario and submits the
@@ -93,7 +87,6 @@ func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
 	plan, err := s.incrStores.Plan(base, mutated, incr.PlanOptions{
 		Coverage: cfg.Coverage,
 		ILP:      cfg.ILP,
-		Fast:     req.Fast,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -101,7 +94,6 @@ func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
 	job, err := s.submit(client, SolveRequest{Scenario: mutated, Options: opts}, &incrMeta{
 		baseHash: hash,
 		plan:     plan,
-		fast:     req.Fast,
 	})
 	if err != nil {
 		return nil, err

@@ -331,3 +331,73 @@ func TestResolveRefusedIsNotCounted(t *testing.T) {
 			m["incr_resolves"], m["rate_limited_total"])
 	}
 }
+
+// TestResolveIgnoresLegacyFastField: request decoding ignores unknown
+// fields, so an old client's "fast": true is dropped. That resolve is an
+// exact, cached solve, and the same resolve without the field replays it
+// byte for byte from the result cache with no solver work.
+func TestResolveIgnoresLegacyFastField(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sc := clusteredBase(t)
+	opts := SolveOptions{Coverage: "IAC", Workers: 1}
+	base, err := s.Submit(SolveRequest{Scenario: sc, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, base, 60*time.Second)
+
+	req := ResolveRequest{
+		BaseScenarioHash: base.ScenarioHash,
+		Delta:            moveDelta(sc.Subscribers[1].ID, geom.Point{X: 70, Y: 95}),
+		Options:          opts,
+	}
+	exact, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(exact, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["fast"] = json.RawMessage("true")
+	legacy, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/resolve?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("resolve: %d %s", resp.StatusCode, out)
+		}
+		return out
+	}
+
+	first := post(legacy)
+	hits, nodes := s.metrics.CacheHits.Load(), milp.TotalNodes()
+	second := post(exact)
+	if !bytes.Equal(first, second) {
+		t.Error(`resolve with "fast": true differs from the same resolve without it`)
+	}
+	if got := s.metrics.CacheHits.Load() - hits; got != 1 {
+		t.Errorf("second resolve: %d cache hits, want 1", got)
+	}
+	if got := milp.TotalNodes() - nodes; got != 0 {
+		t.Errorf("second resolve explored %d B&B nodes, want 0", got)
+	}
+	mut, err := req.Delta.Apply(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stripTrace(t, first), coldSolveDoc(t, mut, opts)) {
+		t.Error(`resolve with "fast": true is not byte-identical to a cold solve`)
+	}
+}

@@ -701,22 +701,14 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	asp.End()
 
 	// Every job runs through the shared zone-level stores: full solves
-	// populate them, repeat or delta'd scenarios splice from them. Fast
-	// resolves get read-only stores plus warm-start seeds instead — their
-	// results may differ from a cold solve and must not contaminate caches.
-	fast := job.incr != nil && job.incr.fast
-	if fast {
-		s.incrStores.WireFast(&cfg, job.incr.plan.Seeder)
-	} else {
-		s.incrStores.Wire(&cfg)
-	}
+	// populate them, repeat or delta'd scenarios splice from them.
+	s.incrStores.Wire(&cfg)
 	if m := job.incr; m != nil {
 		sp := tr.Root().StartChild("incr")
 		sp.SetAttr("base_scenario_hash", m.baseHash)
 		sp.SetInt("total_zones", int64(m.plan.TotalZones))
 		sp.SetInt("dirty_zones", int64(m.plan.DirtyZones))
 		sp.SetFloat("dirty_fraction", m.plan.DirtyFraction)
-		sp.SetBool("fast", m.fast)
 		sp.End()
 	}
 
@@ -759,22 +751,18 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())
 	s.metrics.JobsCompleted.Add(1)
-	if sol.Degraded || fast {
+	if sol.Degraded {
 		// Degraded results are timing-dependent (which stage fell back
-		// depends on when the deadline hit) and fast-mode results are
-		// seed-dependent (warm starts may land on a different equally-good
-		// optimum), so neither may enter the content-addressed cache or
-		// results directory — both promise byte-identical replay. The
-		// journal carries the document inline so a restart can still serve
-		// this job's result.
-		if sol.Degraded {
-			s.metrics.JobsDegraded.Add(1)
-		}
+		// depends on when the deadline hit), so they may not enter the
+		// content-addressed cache or results directory — both promise
+		// byte-identical replay. The journal carries the document inline so
+		// a restart can still serve this job's result.
+		s.metrics.JobsDegraded.Add(1)
 		s.jappend(jrec{T: recDone, ID: job.ID, Key: job.Key, Doc: doc})
 		job.finish(StateDone, doc, "")
 		s.log.Warn("job done degraded", obs.LogJobID, job.ID,
-			"elapsed_ms", elapsed.Milliseconds(), "degraded", sol.Degraded, "fast", fast)
-		s.recordFlight(job, "degraded", true, sol.Degraded)
+			"elapsed_ms", elapsed.Milliseconds(), "degraded", true)
+		s.recordFlight(job, "degraded", true, true)
 		return
 	}
 	s.cache.Add(job.Key, doc)
