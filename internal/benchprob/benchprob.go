@@ -175,6 +175,39 @@ func zoneModel(w [][]float64, covers [][]bool, beta float64) *lp.Problem {
 	return p
 }
 
+// Covering constructs a random set-covering ILP: n binary columns with
+// costs drawn from [1, 5), and m rows each requiring one of a random half
+// of the columns (a row that draws no column gets a single random one).
+// It also returns the costs and each row's columns, so tests can
+// brute-force the optimum.
+func Covering(seed int64, n, m int) (p *lp.Problem, isInt []bool, costs []float64, rowsets [][]int) {
+	rng := rand.New(rand.NewSource(seed))
+	costs = make([]float64, n)
+	p = lp.NewProblem()
+	for i := range costs {
+		costs[i] = 1 + rng.Float64()*4
+		must(p.SetUpperBound(p.AddVariable("t", costs[i]), 1))
+	}
+	rowsets = make([][]int, m)
+	for k := range rowsets {
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				rowsets[k] = append(rowsets[k], i)
+			}
+		}
+		if len(rowsets[k]) == 0 {
+			rowsets[k] = []int{rng.Intn(n)}
+		}
+		terms := make([]lp.Term, len(rowsets[k]))
+		for i, v := range rowsets[k] {
+			terms[i] = lp.Term{Var: v, Coef: 1}
+		}
+		must(p.AddConstraint(terms, lp.GE, 1))
+	}
+	p, isInt = allInt(p)
+	return p, isInt, costs, rowsets
+}
+
 // allInt pairs p with an isInt vector marking every variable integer.
 func allInt(p *lp.Problem) (*lp.Problem, []bool) {
 	isInt := make([]bool, p.NumVariables())

@@ -27,11 +27,12 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Op is a constraint comparison operator.
@@ -102,6 +103,10 @@ type Problem struct {
 	names  []string
 	cons   []constraint
 	maxIts int
+	// rev counts edits to the matrix and the objective — everything a warm
+	// refactorization reads — so a Solver never reuses a factorization it
+	// parked before the problem changed. Bound edits leave it alone.
+	rev uint64
 }
 
 // NewProblem returns an empty minimization problem.
@@ -125,6 +130,7 @@ func (p *Problem) AddVariable(name string, obj float64) int {
 	p.obj = append(p.obj, obj)
 	p.ub = append(p.ub, math.Inf(1))
 	p.names = append(p.names, name)
+	p.rev++
 	return len(p.obj) - 1
 }
 
@@ -134,6 +140,7 @@ func (p *Problem) SetObjective(i int, obj float64) error {
 		return fmt.Errorf("lp: variable %d out of range", i)
 	}
 	p.obj[i] = obj
+	p.rev++
 	return nil
 }
 
@@ -158,30 +165,39 @@ func (p *Problem) UpperBound(i int) float64 {
 }
 
 // AddConstraint appends the constraint sum(terms) op rhs. Terms referencing
-// the same variable are summed. Unknown variable indices are an error.
+// the same variable are summed in input order and zero sums are dropped.
+// Unknown variable indices are an error.
+//
+// The stored row is sorted by variable: constraint evaluation
+// (CheckFeasible) sums terms in slice order, and floating-point addition
+// order must not vary between identical problem builds.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) error {
 	if op != LE && op != GE && op != EQ {
 		return fmt.Errorf("lp: invalid operator %v", op)
 	}
-	merged := make(map[int]float64, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(p.obj) {
 			return fmt.Errorf("lp: constraint references unknown variable %d", t.Var)
 		}
-		merged[t.Var] += t.Coef
 	}
-	row := make([]Term, 0, len(merged))
-	for v, c := range merged {
-		if c != 0 {
-			row = append(row, Term{Var: v, Coef: c})
+	// A stable sort keeps each variable's terms in input order, so merging
+	// adjacent runs adds them in the same order a per-variable accumulator
+	// would, starting from +0.
+	row := slices.Clone(terms)
+	slices.SortStableFunc(row, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	k := 0
+	for i := 0; i < len(row); {
+		v, sum := row[i].Var, 0.0
+		for ; i < len(row) && row[i].Var == v; i++ {
+			sum += row[i].Coef
+		}
+		if sum != 0 {
+			row[k] = Term{Var: v, Coef: sum}
+			k++
 		}
 	}
-	// Sort by variable so the stored row is independent of map iteration
-	// order: constraint evaluation (CheckFeasible) sums terms in slice order,
-	// and floating-point addition order must not vary between identical
-	// problem builds.
-	sort.Slice(row, func(i, j int) bool { return row[i].Var < row[j].Var })
-	p.cons = append(p.cons, constraint{terms: row, op: op, rhs: rhs})
+	p.cons = append(p.cons, constraint{terms: row[:k], op: op, rhs: rhs})
+	p.rev++
 	return nil
 }
 

@@ -14,9 +14,14 @@ import (
 // path; coldFallbacksTotal counts warm attempts that were abandoned
 // (ErrWarmStart) and re-solved on the cold two-phase path. Together with
 // sag_lp_pivots_per_solve they make the warm-start win visible on /metrics.
+// refactorizationsTotal counts warm attempts that factorized their basis
+// from the raw tableau; factorReusesTotal counts warm attempts that
+// restored a factorization parked by an earlier attempt instead.
 var (
-	warmStartsTotal    atomic.Int64
-	coldFallbacksTotal atomic.Int64
+	warmStartsTotal       atomic.Int64
+	coldFallbacksTotal    atomic.Int64
+	refactorizationsTotal atomic.Int64
+	factorReusesTotal     atomic.Int64
 )
 
 func init() {
@@ -26,6 +31,12 @@ func init() {
 	obs.Default.Counter("sag_lp_cold_fallbacks_total",
 		"Warm-start attempts abandoned to the cold two-phase path.",
 		coldFallbacksTotal.Load)
+	obs.Default.Counter("sag_lp_refactorizations_total",
+		"Warm-start attempts that factorized their basis from the raw tableau.",
+		refactorizationsTotal.Load)
+	obs.Default.Counter("sag_lp_factor_reuses_total",
+		"Warm-start attempts that restored a parked factorization of their basis.",
+		factorReusesTotal.Load)
 }
 
 // ErrWarmStart reports that a warm-started solve could not be completed
@@ -46,6 +57,14 @@ func WarmStats() (warmStarts, coldFallbacks int64) {
 	return warmStartsTotal.Load(), coldFallbacksTotal.Load()
 }
 
+// FactorStats returns the process-wide counts of warm-start basis
+// factorizations built from the raw tableau and of those restored from a
+// parked copy — the same values exported as sag_lp_refactorizations_total
+// and sag_lp_factor_reuses_total.
+func FactorStats() (refactorizations, reuses int64) {
+	return refactorizationsTotal.Load(), factorReusesTotal.Load()
+}
+
 // Solver runs simplex with memory reused across solves. It exists for the
 // branch-and-bound hot path: every search-tree node re-solves the same base
 // problem with only per-variable bounds changed, so the dense tableau (by
@@ -58,9 +77,9 @@ func WarmStats() (warmStarts, coldFallbacks int64) {
 // per-zone ILPs) each use their own Solver.
 type Solver struct {
 	// Cold-path (two-phase primal) buffers.
-	flat    []float64   // backing storage for all tableau rows
+	flat    []float64   // backing storage for all tableau rows (and the factor ring)
 	rows    [][]float64 // row views into flat
-	basis   []int
+	basis   []int       // also refactor's free-row list during warm solves
 	objRow  []float64
 	origObj []float64
 	devex   []float64 // primal Devex reference weights
@@ -80,6 +99,9 @@ type Solver struct {
 	wweight []float64
 	wcands  []dualCand
 	wvals   []float64
+
+	// ring indexes the warm factorizations parked in flat (factor.go).
+	ring factorRing
 
 	// nz is eliminate's nonzero-column scratch for the cold tableau and the
 	// warm path alike: it lives only within one pivot, and each solve sizes
@@ -133,6 +155,9 @@ func (s *Solver) SolveContext(ctx context.Context, p *Problem, lower, upper map[
 //
 // The returned Solution always carries a Basis for chaining into the next
 // warm solve, and Solution.WarmStarted reports which path produced it.
+// The Solver keeps the factorizations of up to two bases it warm-started
+// from (factor.go), so the second of two sibling solves from one basis
+// skips refactorization; the answer is bit-identical either way.
 func (s *Solver) WarmSolve(ctx context.Context, p *Problem, lower, upper map[int]float64, basis *Basis) (*Solution, error) {
 	if basis != nil {
 		sol, err := s.warmAttempt(ctx, p, lower, upper, basis)
@@ -366,6 +391,8 @@ func (s *Solver) build(p *Problem, lower, upper map[int]float64) (*tableau, erro
 	width := nCols + 1
 
 	// Lay the m rows out in one flat backing array, reused across solves.
+	// The build overwrites any factorizations parked there.
+	s.dropFactors()
 	need := m * width
 	s.flat = grow(s.flat, need)
 	clear(s.flat)

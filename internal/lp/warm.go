@@ -87,102 +87,30 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 		}
 	}
 
-	// Raw tableau [A | I | b], one flat backing array reused across solves.
+	// B^-1 [A | I | b], the basis and the reduced costs depend only on
+	// (problem, basis), so the sibling of a node that already factorized
+	// this parent basis restores the parked result instead.
 	width := ncols + 1
 	s.wflat = grow(s.wflat, m*width)
-	clear(s.wflat)
 	if cap(s.wrows) < m {
 		s.wrows = make([][]float64, m)
 	}
 	s.wrows = s.wrows[:m]
-	s.nz = growInt(s.nz, width)
 	for k := 0; k < m; k++ {
 		s.wrows[k] = s.wflat[k*width : (k+1)*width]
-		r := s.wrows[k]
-		for _, t := range p.cons[k].terms {
-			r[t.Var] += t.Coef
-		}
-		r[n+k] = 1
-		r[ncols] = p.cons[k].rhs
 	}
-
+	s.nz = growInt(s.nz, width)
 	s.wstatus = growStatus(s.wstatus, ncols)
-	copy(s.wstatus, basis.status)
 	s.wbasis = growInt(s.wbasis, m)
-	for r := range s.wbasis {
-		s.wbasis[r] = -1
-	}
-
-	// Refactorize: eliminate each declared basic column (ascending index,
-	// largest available pivot element — deterministic), then complete any
-	// degenerate remainder with logical (then structural) columns. A
-	// near-zero pivot means the basis went singular under the bound change.
-	for j := 0; j < ncols; j++ {
-		if s.wstatus[j] != Basic {
-			continue
-		}
-		best, bestAbs := -1, singEps
-		for r := 0; r < m; r++ {
-			if s.wbasis[r] >= 0 {
-				continue
-			}
-			if a := math.Abs(s.wrows[r][j]); a > bestAbs {
-				best, bestAbs = r, a
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("%w: singular basis at column %d", ErrWarmStart, j)
-		}
-		s.nz = eliminate(s.wrows, best, j, s.nz)
-		s.wbasis[best] = j
-	}
-	for r := 0; r < m; r++ {
-		if s.wbasis[r] >= 0 {
-			continue
-		}
-		pick := -1
-		if s.wstatus[n+r] != Basic && math.Abs(s.wrows[r][n+r]) > singEps {
-			pick = n + r // the row's own logical, the usual degenerate filler
-		} else {
-			for j := n; j < ncols && pick < 0; j++ {
-				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
-					pick = j
-				}
-			}
-			for j := 0; j < n && pick < 0; j++ {
-				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
-					pick = j
-				}
-			}
-		}
-		if pick < 0 {
-			return nil, fmt.Errorf("%w: cannot complete degenerate basis at row %d", ErrWarmStart, r)
-		}
-		s.wstatus[pick] = Basic
-		s.nz = eliminate(s.wrows, r, pick, s.nz)
-		s.wbasis[r] = pick
-	}
-
-	// Reduced costs d = c - c_B^T B^-1 A (structural costs from the
-	// objective, logical costs zero).
 	s.wd = grow(s.wd, ncols)
-	copy(s.wd, p.obj)
-	for j := n; j < ncols; j++ {
-		s.wd[j] = 0
-	}
-	for r := 0; r < m; r++ {
-		b := s.wbasis[r]
-		if b >= n || p.obj[b] == 0 {
-			continue
+	if s.restoreFactor(p, basis) {
+		factorReusesTotal.Add(1)
+	} else {
+		refactorizationsTotal.Add(1)
+		if err := s.refactor(p, basis); err != nil {
+			return nil, err
 		}
-		cb := p.obj[b]
-		row := s.wrows[r]
-		for j := 0; j < ncols; j++ {
-			s.wd[j] -= cb * row[j]
-		}
-	}
-	for r := 0; r < m; r++ {
-		s.wd[s.wbasis[r]] = 0
+		s.parkFactor(p, basis)
 	}
 
 	// Repair nonbasic statuses for dual feasibility: a nonbasic column must
@@ -251,6 +179,102 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 		lpPivotsPerSolve.Observe(float64(sol.Iterations))
 	}
 	return sol, err
+}
+
+// refactor builds the raw tableau [A | I | b] in s.wrows and factorizes
+// basis into it: each declared basic column is eliminated (ascending index,
+// largest available pivot element, ties to the lowest row — deterministic),
+// then any degenerate remainder is completed with logical (then structural)
+// columns. It leaves B^-1 [A | I | b] in s.wrows, the row-to-column basis in
+// s.wbasis, the completed statuses in s.wstatus and the reduced costs in
+// s.wd; no variable bound is read. A near-zero pivot means the basis went
+// singular.
+func (s *Solver) refactor(p *Problem, basis *Basis) error {
+	n, m := len(p.obj), len(p.cons)
+	ncols := n + m
+	clear(s.wflat)
+	for k := 0; k < m; k++ {
+		r := s.wrows[k]
+		for _, t := range p.cons[k].terms {
+			r[t.Var] += t.Coef
+		}
+		r[n+k] = 1
+		r[ncols] = p.cons[k].rhs
+	}
+
+	copy(s.wstatus, basis.status)
+	// free lists the rows not yet given a basic column, ascending, so the
+	// pivot search scans only those and still breaks ties to the lowest row.
+	// It borrows the cold path's basis buffer, idle during warm solves.
+	s.basis = growInt(s.basis, m)
+	free := s.basis
+	for r := range s.wbasis {
+		s.wbasis[r] = -1
+		free[r] = r
+	}
+	for j := 0; j < ncols; j++ {
+		if s.wstatus[j] != Basic {
+			continue
+		}
+		best, bestAbs := -1, singEps
+		for i, r := range free {
+			if a := math.Abs(s.wrows[r][j]); a > bestAbs {
+				best, bestAbs = i, a
+			}
+		}
+		if best < 0 {
+			return fmt.Errorf("%w: singular basis at column %d", ErrWarmStart, j)
+		}
+		r := free[best]
+		free = slices.Delete(free, best, best+1)
+		s.nz = eliminate(s.wrows, r, j, s.nz)
+		s.wbasis[r] = j
+	}
+	for _, r := range free {
+		pick := -1
+		if s.wstatus[n+r] != Basic && math.Abs(s.wrows[r][n+r]) > singEps {
+			pick = n + r // the row's own logical, the usual degenerate filler
+		} else {
+			for j := n; j < ncols && pick < 0; j++ {
+				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
+					pick = j
+				}
+			}
+			for j := 0; j < n && pick < 0; j++ {
+				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
+					pick = j
+				}
+			}
+		}
+		if pick < 0 {
+			return fmt.Errorf("%w: cannot complete degenerate basis at row %d", ErrWarmStart, r)
+		}
+		s.wstatus[pick] = Basic
+		s.nz = eliminate(s.wrows, r, pick, s.nz)
+		s.wbasis[r] = pick
+	}
+
+	// Reduced costs d = c - c_B^T B^-1 A (structural costs from the
+	// objective, logical costs zero).
+	copy(s.wd, p.obj)
+	for j := n; j < ncols; j++ {
+		s.wd[j] = 0
+	}
+	for r := 0; r < m; r++ {
+		b := s.wbasis[r]
+		if b >= n || p.obj[b] == 0 {
+			continue
+		}
+		cb := p.obj[b]
+		row := s.wrows[r]
+		for j := 0; j < ncols; j++ {
+			s.wd[j] -= cb * row[j]
+		}
+	}
+	for r := 0; r < m; r++ {
+		s.wd[s.wbasis[r]] = 0
+	}
+	return nil
 }
 
 // dualSimplex restores primal feasibility with bound-flipping dual pivots,

@@ -13,8 +13,9 @@ import (
 // representative per-zone ILPQC instance (built by
 // sagrelay/internal/benchprob) — the unit of work that every IAC/GAC
 // figure repeats per zone per run per data point. Custom metrics expose
-// the solver-level work: nodes, total LP pivots, and the warm/cold solve
-// split.
+// the solver-level work: nodes, total LP pivots, the warm/cold solve split,
+// and how many warm starts factorized their basis versus restored a parked
+// factorization.
 func BenchmarkMILPSolve(b *testing.B) {
 	p, isInt := benchprob.ILPQC()
 	benchSolve(b, p, isInt, milp.Options{})
@@ -30,6 +31,7 @@ func BenchmarkMILPSolveGAC(b *testing.B) {
 func benchSolve(b *testing.B, p *lp.Problem, isInt []bool, opts milp.Options) {
 	b.ReportAllocs()
 	var nodes, pivots, warm, cold int
+	refactors0, reuses0 := lp.FactorStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := milp.Solve(context.Background(), p, isInt, opts)
@@ -48,4 +50,7 @@ func benchSolve(b *testing.B, p *lp.Problem, isInt []bool, opts milp.Options) {
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(warm)/float64(b.N), "warm/op")
 	b.ReportMetric(float64(cold)/float64(b.N), "cold/op")
+	refactors, reuses := lp.FactorStats()
+	b.ReportMetric(float64(refactors-refactors0)/float64(b.N), "refactors/op")
+	b.ReportMetric(float64(reuses-reuses0)/float64(b.N), "reuses/op")
 }

@@ -3,43 +3,18 @@ package milp
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"sagrelay/internal/benchprob"
 	"sagrelay/internal/lp"
 )
 
 // coveringInstance builds a random covering MILP and returns it with its
 // brute-force optimum.
 func coveringInstance(seed int64, n, m int) (*lp.Problem, []bool, float64) {
-	rng := rand.New(rand.NewSource(seed))
-	costs := make([]float64, n)
-	p := lp.NewProblem()
-	isInt := make([]bool, n)
-	for i := range costs {
-		costs[i] = 1 + rng.Float64()*4
-		v := p.AddVariable("t", costs[i])
-		_ = p.SetUpperBound(v, 1)
-		isInt[i] = true
-	}
-	rowsets := make([][]int, m)
-	for k := 0; k < m; k++ {
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				rowsets[k] = append(rowsets[k], i)
-			}
-		}
-		if len(rowsets[k]) == 0 {
-			rowsets[k] = []int{rng.Intn(n)}
-		}
-		terms := make([]lp.Term, len(rowsets[k]))
-		for i, v := range rowsets[k] {
-			terms[i] = lp.Term{Var: v, Coef: 1}
-		}
-		_ = p.AddConstraint(terms, lp.GE, 1)
-	}
+	p, isInt, costs, rowsets := benchprob.Covering(seed, n, m)
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<n; mask++ {
 		ok := true
