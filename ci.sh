@@ -5,20 +5,17 @@
 #                    # worker-count determinism regression)
 #   ./ci.sh -full    # additionally run the full-size Fig3a determinism
 #                    # check (minutes of branch-and-bound)
-#   ./ci.sh bench    # run the solver benchmark suite and write BENCH.json
-#                    # (machine-readable ns/op, allocs/op, nodes, pivots)
 #
 # The -race run covers every package, so the parallel experiment harness
 # and the per-zone solvers are exercised under the race detector on every
-# gate. Tests are written to pass with -short except the full-size
-# determinism check, which -full enables by dropping -short.
+# gate, including cmd/sagserved's kill -9 drill
+# (TestKill9MidSolveReplaysJournal): a journaled child server is killed
+# mid-solve and the journal must replay the job to a byte-identical result.
+# Tests are written to pass with -short except the full-size determinism
+# check, which -full enables by dropping -short.
 set -eu
 
 cd "$(dirname "$0")"
-
-if [ "${1:-}" = "bench" ]; then
-	exec go run ./cmd/sagbench -bench-json "${2:-BENCH.json}"
-fi
 
 MODE=short
 if [ "${1:-}" = "-full" ]; then
@@ -57,7 +54,7 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # end-to-end gates are ordinary tests: a byte-identical cache hit with the
 # trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,
 # TestResultDocCarriesTrace, TestMetricsPrometheusHistograms), the pinned
-# sagmetrics/6 key order, a seeded shed storm that sheds the same requests
+# sagmetrics/7 key order, a seeded shed storm that sheds the same requests
 # on two fresh servers with zero solver work for shed jobs
 # (TestForcedShedIsTypedCountedAndA503), /healthz under a delay storm
 # (TestHealthzLiveUnderDelayStorm), bit-rotted journal quarantine
@@ -68,16 +65,11 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
 
-# Resilience gates. The chaos suite (build-tagged so it never runs by
+# Resilience gate. The chaos suite (build-tagged so it never runs by
 # accident) arms every registered fault-injection site with every failure
-# kind and asserts jobs stay terminal and the server stays alive; the
-# recovery smoke kills a journaled child server with SIGKILL mid-solve and
-# asserts the journal replays the job to a byte-identical served result.
+# kind and asserts jobs stay terminal and the server stays alive.
 echo "== go test -race -tags faultinject -run Chaos ./internal/serve/"
 go test -race -tags faultinject -run Chaos -count=1 -timeout 20m ./internal/serve/
-
-echo "== sagserved -smoke-recovery"
-go run ./cmd/sagserved -smoke-recovery
 
 # Performance gates for the branch-and-bound hot path. The pivot-regression
 # gate solves the pinned ILPQC benchmark instance and fails if the total

@@ -7,7 +7,6 @@
 //	sagbench -exp all -runs 10     # everything, paper-strength averaging
 //	sagbench -exp fig7b -csv out/  # also write CSV files into a directory
 //	sagbench -list                 # list artifact IDs
-//	sagbench -bench-json BENCH.json  # machine-readable solver benchmarks
 //
 // Figures involving the ILP solvers (IAC/GAC) take minutes at full runs;
 // -runs 1 gives a quick qualitative pass.
@@ -54,14 +53,9 @@ func run(args []string) error {
 		chart    = fs.Bool("chart", false, "also render each artifact as an ASCII chart")
 		traceOut = fs.String("trace-out", "",
 			"write the invocation's span tree (every solve of every experiment) as JSON to this file")
-		benchJSON = fs.String("bench-json", "",
-			"run the solver benchmark suite and write machine-readable results (BENCH_<n>.json) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchJSON != "" {
-		return runBenchJSON(*benchJSON)
 	}
 	if *list {
 		fmt.Println(strings.Join(experiment.IDs(), "\n"))

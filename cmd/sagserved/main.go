@@ -13,10 +13,10 @@
 //	sagserved -pprof-addr 127.0.0.1:6060        # net/http/pprof side server
 //	sagserved -rate 5 -burst 10                 # per-client rate limiting
 //	sagserved -log-format json -log-level debug # structured logs on stderr
-//	sagserved -smoke-recovery   # self-test: kill -9 mid-solve, replay journal
 //
-// The other end-to-end gates are go test cases in internal/serve; only the
-// kill -9 drill needs a real child process, so it alone is a binary mode.
+// The end-to-end gates are go test cases: internal/serve for the service,
+// and this package's TestKill9MidSolveReplaysJournal for the kill -9 drill,
+// which re-executes the test binary as a child server.
 //
 // Logs go to stderr through log/slog with job_id/batch_id/client correlation
 // fields. The -pprof-addr side listener additionally serves the flight
@@ -74,12 +74,8 @@ func run(args []string) error {
 			"per-client request rate limit in requests/second (0 = no rate limiting)")
 		burst = fs.Int("burst", 0,
 			"per-client token-bucket burst (0 = derive from -rate)")
-		maxInflight = fs.Int("max-inflight", 0,
-			"AIMD adaptive-concurrency ceiling (0 = the worker count)")
 		breakerThreshold = fs.Float64("breaker-threshold", 0,
 			"degrade circuit breaker bad-outcome fraction that trips heuristic-first mode (0 = default 0.5)")
-		smokeRec = fs.Bool("smoke-recovery", false,
-			"run the crash-recovery self-test (kill -9 a child server mid-solve, replay its journal) and exit")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		flightRec = fs.Int("flight-records", obs.DefaultFlightRecords,
@@ -116,14 +112,9 @@ func run(args []string) error {
 		Admit: admit.Options{
 			Rate:             *rate,
 			Burst:            *burst,
-			MaxInflight:      *maxInflight,
 			BreakerThreshold: *breakerThreshold,
 		},
 	}
-	if *smokeRec {
-		return runSmokeRecovery(opts)
-	}
-
 	srv, err := serve.NewServer(opts)
 	if err != nil {
 		return err

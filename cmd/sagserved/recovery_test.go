@@ -8,40 +8,51 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"strings"
+	"testing"
 	"time"
 
 	"sagrelay/internal/scenario"
 	"sagrelay/internal/serve"
 )
 
-// runSmokeRecovery is the crash-recovery end-to-end gate:
+// childEnv, when set, turns the test binary into a sagserved process: the
+// kill -9 drill needs a real child to kill, and re-executing the test
+// binary gives it one without building the command separately.
+const childEnv = "SAGSERVED_TEST_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) == "1" {
+		if err := run(os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "sagserved:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestKill9MidSolveReplaysJournal is the crash-recovery drill:
 //
 //  1. spawn a child sagserved with a journal (-data-dir) and a fault plan
-//     that slows every simplex solve to a crawl, so the submitted job is
-//     reliably still running when the axe falls;
+//     that slows every simplex pivot, so the submitted job is reliably
+//     still running when the axe falls;
 //  2. submit a GAC solve, wait until the child reports it running, then
 //     kill -9 the child — no drain, no goodbye, a torn journal tail is fair;
 //  3. restart the service in-process on the same data dir (without the
-//     slowdown) and assert the journal replays the job under its original
-//     ID to a served 200 result;
-//  4. bounce the service once more and assert the finished job is restored
-//     from disk byte-identically with zero solver work.
-func runSmokeRecovery(opts serve.Options) error {
-	dir, err := os.MkdirTemp("", "sagserved-recovery-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
+//     slowdown) and require the journal to replay the job under its
+//     original ID to a served 200 result with a fresh flight record;
+//  4. bounce the service once more and require the finished job to be
+//     restored from disk byte-identically with zero solver work.
+func TestKill9MidSolveReplaysJournal(t *testing.T) {
+	dir := t.TempDir()
 	exe, err := os.Executable()
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 
 	// Stage 1: child server, journaled, deliberately slow.
@@ -52,95 +63,86 @@ func runSmokeRecovery(opts serve.Options) error {
 		"-fault", "lp.pivot=delay:d=5ms",
 		"-fault-seed", "1",
 	)
+	child.Env = append(os.Environ(), childEnv+"=1")
 	stderr, err := child.StderrPipe()
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	if err := child.Start(); err != nil {
-		return err
+		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		if child.Process != nil {
 			child.Process.Kill()
 			child.Wait()
 		}
-	}()
+	})
 
 	base, err := scanListenAddr(stderr)
 	if err != nil {
-		return fmt.Errorf("recovery: child did not report a listen address: %w", err)
+		t.Fatalf("child did not report a listen address: %v", err)
 	}
 	go io.Copy(io.Discard, stderr) // keep the pipe drained
-	log.Printf("recovery: child serving on %s (journal %s)", base, dir)
+	t.Logf("child serving on %s (journal %s)", base, dir)
 
 	sc, err := scenario.Generate(scenario.GenConfig{
 		FieldSide: 300, NumSS: 10, NumBS: 2, SNRdB: -15, Seed: 42,
 	})
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	body, err := json.Marshal(serve.SolveRequest{
 		Scenario: sc,
 		Options:  serve.SolveOptions{Coverage: "GAC", TimeoutMS: 600_000},
 	})
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-
 	resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	var submitted struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+		ID string `json:"id"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&submitted)
 	resp.Body.Close()
 	if err != nil || submitted.ID == "" {
-		return fmt.Errorf("recovery: submit answered %s (%v)", resp.Status, err)
+		t.Fatalf("submit answered %s (%v)", resp.Status, err)
 	}
 	jobID := submitted.ID
 
 	// Wait for the job to actually be solving, so the kill lands mid-run.
 	if err := pollState(base, jobID, "running", 30*time.Second); err != nil {
-		return err
+		t.Fatal(err)
 	}
-	log.Printf("recovery: job %s running; killing child with SIGKILL", jobID)
+	t.Logf("job %s running; killing child with SIGKILL", jobID)
 	if err := child.Process.Kill(); err != nil {
-		return err
+		t.Fatal(err)
 	}
 	child.Wait()
 	child.Process = nil
 
 	// Stage 2: restart on the same journal, full speed. The replay must
 	// resurrect the job under its original ID and drive it to completion.
-	srv, err := serve.NewServer(serve.Options{Workers: opts.Workers, DataDir: dir})
+	srv, err := serve.NewServer(serve.Options{Workers: 2, DataDir: dir})
 	if err != nil {
-		return fmt.Errorf("recovery: restart: %w", err)
+		t.Fatalf("restart: %v", err)
 	}
 	if m := srv.MetricsSnapshot(); m["journal_replayed_jobs"] != 1 {
-		return fmt.Errorf("recovery: journal_replayed_jobs = %d, want 1", m["journal_replayed_jobs"])
+		t.Fatalf("journal_replayed_jobs = %d, want 1", m["journal_replayed_jobs"])
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	base = "http://" + ln.Addr().String()
-	log.Printf("recovery: restarted on %s; polling replayed job %s", base, jobID)
-
+	base = serveOn(t, srv)
 	result, err := pollResult(base, jobID, 120*time.Second)
 	if err != nil {
-		return fmt.Errorf("recovery: replayed job: %w", err)
+		t.Fatalf("replayed job: %v", err)
 	}
 	var doc serve.ResultDoc
 	if err := json.Unmarshal(result, &doc); err != nil {
-		return fmt.Errorf("recovery: result not JSON: %w", err)
+		t.Fatalf("result not JSON: %v", err)
 	}
 	if !doc.Feasible {
-		return fmt.Errorf("recovery: replayed solve infeasible: %s", result)
+		t.Fatalf("replayed solve infeasible: %s", result)
 	}
 	// The re-run produced live evidence: the replayed job must have a flight
 	// record in the new process (the ring lands it just after completion).
@@ -150,62 +152,65 @@ func runSmokeRecovery(opts serve.Options) error {
 			// A replay may settle "done" or "degraded" (the ladder can fire
 			// on a re-run); either way the ring has live evidence.
 			if rec.Outcome != "done" && rec.Outcome != "degraded" {
-				return fmt.Errorf("recovery: replayed job flight outcome = %q, want done or degraded", rec.Outcome)
+				t.Fatalf("replayed job flight outcome = %q, want done or degraded", rec.Outcome)
 			}
 			break
 		}
 		if time.Now().After(flightDeadline) {
-			return errors.New("recovery: replayed job has no flight record after restart")
+			t.Fatal("replayed job has no flight record after restart")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
+	shutdown(t, srv)
 
 	// Stage 3: one more restart. The finished job must now be restored from
 	// the journal and served byte-identically with no solver work at all.
-	srv2, err := serve.NewServer(serve.Options{Workers: opts.Workers, DataDir: dir})
+	srv2, err := serve.NewServer(serve.Options{Workers: 2, DataDir: dir})
 	if err != nil {
-		return fmt.Errorf("recovery: second restart: %w", err)
+		t.Fatalf("second restart: %v", err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv2.Shutdown(ctx)
-	}()
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Cleanup(func() { shutdown(t, srv2) })
+	restored, err := pollResult(serveOn(t, srv2), jobID, 10*time.Second)
 	if err != nil {
-		return err
-	}
-	httpSrv2 := &http.Server{Handler: srv2.Handler()}
-	go httpSrv2.Serve(ln2)
-	defer httpSrv2.Close()
-	restored, err := pollResult("http://"+ln2.Addr().String(), jobID, 10*time.Second)
-	if err != nil {
-		return fmt.Errorf("recovery: restored job: %w", err)
+		t.Fatalf("restored job: %v", err)
 	}
 	if !bytes.Equal(restored, result) {
-		return errors.New("recovery: restored result is not byte-identical to the solved one")
+		t.Fatal("restored result is not byte-identical to the solved one")
 	}
 	m := srv2.MetricsSnapshot()
 	if m["journal_restored_jobs"] < 1 || m["solves"] != 0 {
-		return fmt.Errorf("recovery: second restart restored=%d solves=%d, want >=1 and 0",
+		t.Fatalf("second restart restored=%d solves=%d, want >=1 and 0",
 			m["journal_restored_jobs"], m["solves"])
 	}
 	// The flight ring is memory-only and died with each process — the
 	// journal-restored job has no record, and its loss must not have
 	// affected recovery: the result above is still byte-identical.
 	if n := srv2.FlightRecorder().Len(); n != 0 {
-		return fmt.Errorf("recovery: restored-only restart has %d flight records, want 0 (ring is volatile)", n)
+		t.Fatalf("restored-only restart has %d flight records, want 0 (ring is volatile)", n)
 	}
-	log.Printf("recovery: ok (kill -9 mid-solve, journal replayed %s to a 200 with a fresh flight record, restored byte-identically with 0 solves and an empty ring)", jobID)
-	return nil
+}
+
+// serveOn serves srv's HTTP API on a loopback port until the test ends and
+// returns the base URL.
+func serveOn(t *testing.T, srv *serve.Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	go httpSrv.Serve(ln)
+	t.Cleanup(func() { httpSrv.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+func shutdown(t *testing.T, srv *serve.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
 }
 
 // scanListenAddr reads the child's stderr until the "listening on" line and

@@ -1,7 +1,8 @@
 // Package admit is the solve service's admission-control and
 // overload-resilience layer. It decides, before a job consumes a queue
 // slot, whether the server can still honor the job's deadline — and, once
-// a worker picks the job up, under which regime it runs:
+// a worker picks the job up, under which regime it runs. Concurrency itself
+// is the worker pool's to bound; admission never holds a worker back.
 //
 //   - Deadline-aware load shedding: an EWMA cost model per scenario-size
 //     bucket estimates solve time at submit; a job whose remaining deadline
@@ -10,10 +11,6 @@
 //     an answer nobody will read.
 //   - Per-client token-bucket rate limiting keyed on API key or remote
 //     address, rejecting with *RateLimitError (HTTP 429).
-//   - Adaptive concurrency: an AIMD limiter on in-flight solves below the
-//     worker count — additive increase on on-time completions,
-//     multiplicative decrease on deadline misses and failures — keeping
-//     latency bounded under mixed workloads.
 //   - A circuit breaker over the degradation ladder: when the fraction of
 //     bad outcomes (failures, deadline misses, degraded solves) crosses a
 //     threshold, the breaker opens and the whole server runs heuristic-first
@@ -29,7 +26,6 @@
 package admit
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -62,9 +58,6 @@ type Options struct {
 	// evicted; default 4096). An evicted client re-enters with a full
 	// bucket, which errs toward admitting.
 	MaxClients int
-	// MaxInflight is the AIMD ceiling on concurrent solves (default 1 if
-	// unset; the solve service passes its worker count).
-	MaxInflight int
 	// BreakerThreshold is the bad-outcome fraction over the sliding window
 	// that trips the breaker into heuristic-first mode (default 0.5; any
 	// value > 1 means the breaker never trips organically).
@@ -78,9 +71,9 @@ type Options struct {
 	// BreakerCooldown is how long the breaker stays open before it admits
 	// a half-open probe job (default 5s).
 	BreakerCooldown time.Duration
-	// DisableShed turns deadline-aware shedding off (rate limiting, the
-	// AIMD limiter and the breaker are unaffected). Forced sheds via the
-	// admit.shed fault site still fire.
+	// DisableShed turns deadline-aware shedding off (rate limiting and the
+	// breaker are unaffected). Forced sheds via the admit.shed fault site
+	// still fire.
 	DisableShed bool
 	// OnBreakerChange, when set, observes breaker state transitions (for
 	// structured logging). Called with the breaker lock held; it must be
@@ -97,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxClients <= 0 {
 		o.MaxClients = 4096
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 1
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 0.5
@@ -155,13 +145,12 @@ type Decision struct {
 	EstWait  time.Duration
 }
 
-// Controller glues the four mechanisms together for one server. All methods
+// Controller glues the three mechanisms together for one server. All methods
 // are safe for concurrent use.
 type Controller struct {
 	opts Options
 	cost *CostModel
 	rl   *RateLimiter
-	aimd *AIMD
 	br   *Breaker
 }
 
@@ -172,7 +161,6 @@ func New(opts Options) *Controller {
 		opts: opts,
 		cost: NewCostModel(),
 		rl:   NewRateLimiter(opts.Rate, opts.Burst, opts.MaxClients),
-		aimd: NewAIMD(1, opts.MaxInflight),
 		br: NewBreaker(opts.BreakerThreshold, opts.BreakerWindow,
 			opts.BreakerMinSamples, opts.BreakerCooldown),
 	}
@@ -198,14 +186,12 @@ func (c *Controller) AllowClient(client string) error {
 
 // Admit makes the deadline-aware shedding decision for a cache-missing
 // submission: sizeClass buckets the scenario (SizeClass), queued is the
-// current queue depth, and deadline the job's effective time budget. The
-// returned error, if any, is a *ShedError; a cold cost model admits
-// everything.
-func (c *Controller) Admit(sizeClass, queued int, deadline time.Duration) (Decision, error) {
-	// Queue wait: the backlog drains at roughly (mean solve time / effective
-	// concurrency); the AIMD limit is the honest concurrency, not the static
-	// worker count. A lone submission has no batch siblings ahead of it.
-	return c.AdmitBatch(sizeClass, queued, 0, deadline)
+// current queue depth, workers the number of solves the server runs at
+// once, and deadline the job's effective time budget. The returned error,
+// if any, is a *ShedError; a cold cost model admits everything.
+func (c *Controller) Admit(sizeClass, queued, workers int, deadline time.Duration) (Decision, error) {
+	// A lone submission has no batch siblings ahead of it.
+	return c.AdmitBatch(sizeClass, queued, workers, 0, deadline)
 }
 
 // AdmitBatch is Admit for one item of a batch submission. Batch items are
@@ -213,12 +199,12 @@ func (c *Controller) Admit(sizeClass, queued int, deadline time.Duration) (Decis
 // depth alone under-counts the work ahead of item k: its k-1 admitted
 // siblings are invisible to the pool until the batch feeder enqueues them.
 // batchAhead is the summed EstSolve of those earlier, admitted-but-not-yet-
-// queued siblings; it is divided by the same effective concurrency as the
-// generic backlog, so the estimate stays honest for both the first item of
-// a batch (batchAhead 0 — identical to Admit) and the hundredth. Each item
-// is shed individually: a returned *ShedError rejects this item only, never
-// the batch.
-func (c *Controller) AdmitBatch(sizeClass, queued int, batchAhead, deadline time.Duration) (Decision, error) {
+// queued siblings; it is divided by the same worker count as the generic
+// backlog, so the estimate stays honest for both the first item of a batch
+// (batchAhead 0 — identical to Admit) and the hundredth. Each item is shed
+// individually: a returned *ShedError rejects this item only, never the
+// batch.
+func (c *Controller) AdmitBatch(sizeClass, queued, workers int, batchAhead, deadline time.Duration) (Decision, error) {
 	var d Decision
 	if err := fireSite(siteShed); err != nil {
 		return d, &ShedError{Reason: "fault injection: " + err.Error(), RetryAfter: time.Second}
@@ -230,7 +216,7 @@ func (c *Controller) AdmitBatch(sizeClass, queued int, batchAhead, deadline time
 	if !ok {
 		return d, nil
 	}
-	workers := c.aimd.Limit()
+	// Queue wait: the backlog drains at roughly mean solve time / workers.
 	if workers < 1 {
 		workers = 1
 	}
@@ -254,9 +240,8 @@ func (c *Controller) AdmitBatch(sizeClass, queued int, batchAhead, deadline time
 }
 
 // Grant is the token a worker holds while its solve runs: the breaker mode
-// it was issued under plus the AIMD slot. Finish releases it; a second
-// Finish is a no-op, so callers can install a deferred backstop Finish for
-// panic paths.
+// it was issued under. Finish settles it; a second Finish is a no-op, so
+// callers can install a deferred backstop Finish for panic paths.
 type Grant struct {
 	heuristicFirst bool
 	probe          bool
@@ -270,23 +255,14 @@ func (g *Grant) HeuristicFirst() bool { return g.heuristicFirst }
 // Probe reports whether this job is the breaker's half-open probe.
 func (g *Grant) Probe() bool { return g.probe }
 
-// Begin is called by a worker about to run a job: it consults the breaker
-// for the execution mode and blocks until the AIMD limiter grants an
-// in-flight slot (or ctx dies, in which case no slot is held and any probe
-// claim is returned).
-func (c *Controller) Begin(ctx context.Context) (*Grant, error) {
+// Begin is called by a worker about to run a job: it asks the breaker for
+// the execution mode.
+func (c *Controller) Begin() *Grant {
 	hf, probe := c.br.Allow(time.Now())
-	if err := c.aimd.Acquire(ctx); err != nil {
-		if probe {
-			c.br.AbortProbe()
-		}
-		return nil, err
-	}
-	return &Grant{heuristicFirst: hf, probe: probe, done: make(chan struct{})}, nil
+	return &Grant{heuristicFirst: hf, probe: probe, done: make(chan struct{})}
 }
 
-// Outcome summarizes a finished solve for the cost model, the AIMD limiter
-// and the breaker.
+// Outcome summarizes a finished solve for the cost model and the breaker.
 type Outcome struct {
 	// SizeClass is the scenario's cost-model bucket (SizeClass).
 	SizeClass int
@@ -298,9 +274,8 @@ type Outcome struct {
 	Failed, DeadlineMiss, Degraded bool
 }
 
-// Finish releases g's in-flight slot and feeds o to the cost model, the
-// AIMD limiter and the breaker. Calling it twice for the same grant (or
-// with a nil grant) is a no-op: the first outcome wins.
+// Finish feeds o to the cost model and the breaker. Calling it twice for
+// the same grant (or with a nil grant) is a no-op: the first outcome wins.
 func (c *Controller) Finish(g *Grant, o Outcome) {
 	if g == nil {
 		return
@@ -312,12 +287,6 @@ func (c *Controller) Finish(g *Grant, o Outcome) {
 		close(g.done)
 	}
 	bad := o.Failed || o.DeadlineMiss || o.Degraded
-	if g.heuristicFirst {
-		// Heuristic-first solutions are degraded by construction; only real
-		// trouble (failure, deadline miss) should shrink concurrency.
-		bad = o.Failed || o.DeadlineMiss
-	}
-	c.aimd.Release(!bad)
 	if !o.Failed && !g.heuristicFirst && o.Seconds > 0 {
 		// Heuristic-first solves are deliberately cheap and would drag the
 		// estimate for the exact pipeline down; keep them out of the model.
@@ -336,7 +305,7 @@ func (c *Controller) Finish(g *Grant, o Outcome) {
 		return
 	}
 	if !g.heuristicFirst {
-		c.br.Record(o.Failed || o.DeadlineMiss || o.Degraded, false, now)
+		c.br.Record(bad, false, now)
 	}
 }
 
@@ -346,9 +315,6 @@ func (c *Controller) BreakerState() int64 { return int64(c.br.State()) }
 
 // BreakerTrips returns how many times the breaker has opened.
 func (c *Controller) BreakerTrips() int64 { return c.br.Trips() }
-
-// InflightLimit returns the AIMD limiter's current concurrency limit.
-func (c *Controller) InflightLimit() int64 { return int64(c.aimd.Limit()) }
 
 // fireSite runs a fault check with panic-kind rules recovered into plain
 // errors: an injected panic at an admission site must become the forced

@@ -1,7 +1,6 @@
 package admit
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -85,68 +84,6 @@ func TestRateLimiterBurstAndRefill(t *testing.T) {
 		if _, ok := off.Allow("a", t0); !ok {
 			t.Fatal("disabled limiter denied a request")
 		}
-	}
-}
-
-func TestAIMDAcquireReleaseAndClamps(t *testing.T) {
-	a := NewAIMD(1, 4)
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if err := a.Acquire(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fifth acquire blocks until a release.
-	acquired := make(chan error, 1)
-	go func() { acquired <- a.Acquire(ctx) }()
-	select {
-	case <-acquired:
-		t.Fatal("acquire beyond the limit did not block")
-	case <-time.After(50 * time.Millisecond):
-	}
-	a.Release(true)
-	if err := <-acquired; err != nil {
-		t.Fatal(err)
-	}
-	// Bad completions halve the limit: 4 -> 2 -> 1, clamped at min.
-	a.Release(false)
-	a.Release(false)
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("limit after two bad releases = %d, want 1", got)
-	}
-	a.Release(false)
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("limit clamps at min: got %d", got)
-	}
-	// Good completions climb back one at a time, capped at max.
-	for i := 0; i < 10; i++ {
-		a.Release(true)
-	}
-	if got := a.Limit(); got != 4 {
-		t.Fatalf("limit after recovery = %d, want max 4", got)
-	}
-}
-
-func TestAIMDAcquireHonorsContext(t *testing.T) {
-	a := NewAIMD(1, 1)
-	if err := a.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() { errCh <- a.Acquire(ctx) }()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blocked acquire returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled acquire never returned")
-	}
-	if got := a.Inflight(); got != 1 {
-		t.Fatalf("inflight after cancelled acquire = %d, want 1 (no leaked slot)", got)
 	}
 }
 
@@ -237,17 +174,13 @@ func TestBreakerSlidingWindowEvicts(t *testing.T) {
 }
 
 func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
-	c := New(Options{MaxInflight: 2, BreakerThreshold: 2})
+	c := New(Options{BreakerThreshold: 2})
 	// Warm the model: three one-second solves.
 	for i := 0; i < 3; i++ {
-		g, err := c.Begin(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Finish(g, Outcome{SizeClass: 0, Seconds: 1.0})
+		c.Finish(c.Begin(), Outcome{SizeClass: 0, Seconds: 1.0})
 	}
 	// Plenty of budget: admitted, with estimates attached.
-	d, err := c.Admit(0, 0, time.Minute)
+	d, err := c.Admit(0, 0, 2, time.Minute)
 	if err != nil {
 		t.Fatalf("generous deadline shed: %v", err)
 	}
@@ -255,7 +188,7 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 		t.Fatal("warm model returned no estimate")
 	}
 	// 10ms budget against a ~1s estimate: shed with a typed error.
-	_, err = c.Admit(0, 4, 10*time.Millisecond)
+	_, err = c.Admit(0, 4, 2, 10*time.Millisecond)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("tight deadline returned %v, want *ShedError", err)
@@ -266,17 +199,30 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 	if shed.EstWait <= 0 {
 		t.Fatal("queued jobs contribute no estimated wait")
 	}
+	// The backlog drains across the workers: with the same model and queue
+	// depth, twice the workers halve the estimated wait.
+	d2, err := c.Admit(0, 4, 2, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4, err := c.Admit(0, 4, 4, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d4.EstWait*2 != d2.EstWait {
+		t.Fatalf("EstWait with 4 workers = %v, want half of %v with 2", d4.EstWait, d2.EstWait)
+	}
 }
 
 func TestControllerColdModelAdmitsEverything(t *testing.T) {
-	c := New(Options{MaxInflight: 1})
-	if _, err := c.Admit(3, 1000, time.Nanosecond); err != nil {
+	c := New(Options{})
+	if _, err := c.Admit(3, 1000, 1, time.Nanosecond); err != nil {
 		t.Fatalf("cold model shed a job: %v", err)
 	}
 }
 
 func TestControllerRateLimitTyped(t *testing.T) {
-	c := New(Options{Rate: 1, Burst: 1, MaxInflight: 1})
+	c := New(Options{Rate: 1, Burst: 1})
 	if err := c.AllowClient("k"); err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +244,13 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fault.Disable)
-	c := New(Options{MaxInflight: 1})
-	_, err := c.Admit(0, 0, time.Minute)
+	c := New(Options{})
+	_, err := c.Admit(0, 0, 1, time.Minute)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("armed admit.shed returned %v, want *ShedError", err)
 	}
-	if _, err := c.Admit(0, 0, time.Minute); err != nil {
+	if _, err := c.Admit(0, 0, 1, time.Minute); err != nil {
 		t.Fatalf("n=1 rule still firing: %v", err)
 	}
 
@@ -312,7 +258,7 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 	if err := fault.EnableSpec("admit.shed=panic:n=1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(0, 0, time.Minute); !errors.As(err, &shed) {
+	if _, err := c.Admit(0, 0, 1, time.Minute); !errors.As(err, &shed) {
 		t.Fatalf("panic-kind shed returned %v, want *ShedError", err)
 	}
 
@@ -320,11 +266,7 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 	if err := fault.EnableSpec("admit.breaker=error:n=1", 1); err != nil {
 		t.Fatal(err)
 	}
-	g, err := c.Begin(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Finish(g, Outcome{SizeClass: 0, Seconds: 0.01})
+	c.Finish(c.Begin(), Outcome{SizeClass: 0, Seconds: 0.01})
 	if c.BreakerState() != int64(BreakerOpen) {
 		t.Fatalf("armed admit.breaker left state %d, want open", c.BreakerState())
 	}
@@ -334,18 +276,23 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 }
 
 func TestFinishIsIdempotent(t *testing.T) {
-	c := New(Options{MaxInflight: 2})
-	g, err := c.Begin(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(Options{})
+	g := c.Begin()
 	c.Finish(g, Outcome{Seconds: 0.1})
-	c.Finish(g, Outcome{Failed: true}) // backstop call: must not double-release
-	if got := c.aimd.Inflight(); got != 0 {
-		t.Fatalf("inflight = %d after double Finish, want 0", got)
+	// Backstop call with a bad outcome: it must reach neither the breaker
+	// window nor the cost model.
+	c.Finish(g, Outcome{DeadlineMiss: true, Seconds: 100})
+	c.br.mu.Lock()
+	windowed, bad := c.br.count, c.br.bad
+	c.br.mu.Unlock()
+	if windowed != 1 || bad != 0 {
+		t.Fatalf("breaker window holds %d outcomes (%d bad) after double Finish, want 1 (0 bad)", windowed, bad)
 	}
-	if got := c.InflightLimit(); got != 2 {
-		t.Fatalf("limit = %d, want untouched 2 (second Finish must not halve)", got)
+	c.cost.mu.Lock()
+	n, mean := c.cost.overall.n, c.cost.overall.mean
+	c.cost.mu.Unlock()
+	if n != 1 || mean != 0.1 {
+		t.Fatalf("cost model saw %d solves (mean %v) after double Finish, want 1 (0.1)", n, mean)
 	}
 	c.Finish(nil, Outcome{}) // nil grant no-op
 }

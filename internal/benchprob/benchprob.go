@@ -1,8 +1,8 @@
 // Package benchprob builds the representative benchmark problem instances
-// shared by the internal/lp and internal/milp benchmarks, tests, and the
-// cmd/sagbench -bench-json emitter. Keeping one copy of the ILPQC fixture
-// guarantees every consumer measures the identical model — pivot counts and
-// node counts recorded across PRs stay comparable.
+// shared by the internal/lp and internal/milp benchmarks and tests. Keeping
+// one copy of the ILPQC fixture guarantees every consumer measures the
+// identical model — pivot counts and node counts recorded across PRs stay
+// comparable.
 package benchprob
 
 import (

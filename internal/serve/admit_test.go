@@ -343,7 +343,7 @@ func TestBreakerLifecycleEndToEnd(t *testing.T) {
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, series := range []string{"sag_breaker_state 1", "sag_breaker_trips_total 1", "sag_jobs_shed_total ", "sag_rate_limited_total ", "sag_inflight_limit "} {
+	for _, series := range []string{"sag_breaker_state 1", "sag_breaker_trips_total 1", "sag_jobs_shed_total ", "sag_rate_limited_total "} {
 		if !strings.Contains(string(prom), series) {
 			t.Errorf("prometheus exposition lacks %q", series)
 		}

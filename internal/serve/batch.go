@@ -288,7 +288,7 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		if plans[i].hit {
 			continue // free: never shed a cache hit
 		}
-		dec, aerr := s.admit.AdmitBatch(admit.SizeClass(len(p.sc.Subscribers)), s.pool.Len(), batchAhead, timeout)
+		dec, aerr := s.admit.AdmitBatch(admit.SizeClass(len(p.sc.Subscribers)), s.pool.Len(), s.pool.Workers(), batchAhead, timeout)
 		if aerr != nil {
 			_, body := apiError(aerr)
 			plans[i].reject = &body

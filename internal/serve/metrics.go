@@ -35,11 +35,13 @@ type Metrics struct {
 //	sagmetrics/3  incremental re-solve keys added (resolves, zone reuse
 //	              and re-solve totals, zone store size)
 //	sagmetrics/4  admission-control keys added (shedding, rate limiting,
-//	              breaker state and trips, AIMD limit, journal corruption)
+//	              breaker state and trips, concurrency limit, journal
+//	              corruption)
 //	sagmetrics/5  batch keys added (batches, their items, shed items)
 //	sagmetrics/6  introspection keys added (queue depth and flight ring
 //	              gauges, opened progress streams)
-const metricsSchema = "sagmetrics/6"
+//	sagmetrics/7  inflight_limit dropped with the AIMD limiter
+const metricsSchema = "sagmetrics/7"
 
 // seriesPrefix turns a /metrics JSON key into its Prometheus series name.
 const seriesPrefix = "sag_"
@@ -70,7 +72,6 @@ func (s *Server) metricsRegistry() *obs.Registry {
 	counter("batch_items_shed", "Batch items individually refused by deadline-aware shedding.", m.BatchItemsShed.Load)
 	gauge("breaker_state", "Degrade circuit breaker state (0 closed, 1 open, 2 half-open).", s.admit.BreakerState)
 	counter("breaker_trips_total", "Degrade circuit breaker trips (closed/half-open to open).", s.admit.BreakerTrips)
-	gauge("inflight_limit", "Current AIMD adaptive concurrency ceiling.", s.admit.InflightLimit)
 	counter("cache_hits", "Result-cache hits at submit time.", m.CacheHits.Load)
 	counter("cache_misses", "Result-cache misses at submit time.", m.CacheMisses.Load)
 	gauge("cache_entries", "Result documents currently cached.", func() int64 { return int64(s.cache.Len()) })

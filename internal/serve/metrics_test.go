@@ -88,15 +88,15 @@ func fetchMetricsProm(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
-// metricsKeysV6 is the sagmetrics/6 wire contract: every key of the /metrics
+// metricsKeysV7 is the sagmetrics/7 wire contract: every key of the /metrics
 // JSON document, in order. Adding, renaming or reordering a key changes the
 // schema and must bump metricsSchema.
-var metricsKeysV6 = []string{
+var metricsKeysV7 = []string{
 	"schema",
 	"jobs_accepted", "jobs_rejected", "jobs_completed", "jobs_failed", "jobs_cancelled",
 	"jobs_panicked", "jobs_degraded", "jobs_shed_total", "rate_limited_total",
 	"batches_total", "batch_items_total", "batch_items_shed",
-	"breaker_state", "breaker_trips_total", "inflight_limit",
+	"breaker_state", "breaker_trips_total",
 	"cache_hits", "cache_misses", "cache_entries",
 	"incr_resolves", "incr_zones_reused_total", "incr_zones_resolved_total", "zone_cache_entries",
 	"solve_micros_total", "solves", "bb_nodes_total", "panics_recovered",
@@ -129,8 +129,8 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 	jsonVals, order := fetchMetricsJSON(t, ts.URL)
 	promVals := fetchMetricsProm(t, ts.URL)
 
-	if !slices.Equal(order, metricsKeysV6) {
-		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV6)
+	if !slices.Equal(order, metricsKeysV7) {
+		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV7)
 	}
 	if got := jsonVals["schema"]; got != json.Number(strconv.Quote(metricsSchema)) {
 		t.Errorf("schema = %s, want %q", got, metricsSchema)
@@ -161,7 +161,7 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 	if jsonVals["jobs_completed"] == "0" {
 		t.Error("jobs_completed is zero after two completed jobs")
 	}
-	// sagmetrics/6 introspection keys must be present in both expositions.
+	// The sagmetrics/6 introspection keys must be present in both expositions.
 	for _, key := range []string{"job_queue_depth", "flight_records", "progress_streams_total"} {
 		if _, ok := jsonVals[key]; !ok {
 			t.Errorf("JSON document is missing introspection key %q", key)

@@ -94,10 +94,8 @@ type Options struct {
 	// batches are forgotten beyond it (default 64).
 	MaxBatches int
 	// Admit tunes the admission-control and overload-resilience layer:
-	// per-client rate limiting, deadline-aware load shedding, the AIMD
-	// in-flight limiter and the degrade circuit breaker. Zero values mean
-	// the admit package defaults, with MaxInflight defaulting to this
-	// server's worker count.
+	// per-client rate limiting, deadline-aware load shedding and the
+	// degrade circuit breaker. Zero values mean the admit package defaults.
 	Admit admit.Options
 	// FlightRecords bounds the flight recorder's retained completed-job
 	// records (default obs.DefaultFlightRecords; half the capacity is
@@ -157,8 +155,7 @@ type Server struct {
 	// (see metricsRegistry).
 	series *obs.Registry
 	// admit is the admission-control layer: rate limiting and deadline-aware
-	// shedding at submit, AIMD concurrency and the degrade circuit breaker
-	// around each solve.
+	// shedding at submit, the degrade circuit breaker around each solve.
 	admit *admit.Controller
 	// flight retains the last K completed-job records for postmortems (see
 	// obs.FlightRecorder); log is the structured event logger (never nil —
@@ -199,11 +196,6 @@ func NewServer(opts Options) (*Server, error) {
 		logger = obs.NopLogger()
 	}
 	aopts := opts.Admit
-	if aopts.MaxInflight <= 0 {
-		// The AIMD ceiling defaults to the worker count: the limiter can only
-		// shrink concurrency below what the pool would run anyway.
-		aopts.MaxInflight = par.DefaultWorkers(opts.Workers)
-	}
 	if aopts.OnBreakerChange == nil {
 		// Breaker transitions are rare and load-bearing for operators:
 		// always log them unless the caller installed their own observer.
@@ -508,7 +500,7 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 	cachedDoc, cacheHit := s.cache.Get(key)
 	var admitDec admit.Decision
 	if !cacheHit {
-		dec, err := s.admit.Admit(admit.SizeClass(len(req.Scenario.Subscribers)), s.pool.Len(), timeout)
+		dec, err := s.admit.Admit(admit.SizeClass(len(req.Scenario.Subscribers)), s.pool.Len(), s.pool.Workers(), timeout)
 		if err != nil {
 			s.metrics.JobsShed.Add(1)
 			s.log.Warn("job shed", obs.LogClient, client, "error", err.Error())
@@ -665,17 +657,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 
 	// Admission control around the solve itself: the breaker decides the
-	// execution mode (exact, heuristic-first, or half-open probe) and the
-	// AIMD limiter may hold the job here until an in-flight slot frees up —
-	// this worker goroutine idling is exactly how concurrency shrinks below
-	// the pool's static count.
-	grant, gerr := s.admit.Begin(ctx)
-	if gerr != nil {
-		// The job's deadline expired (or shutdown began) while it waited for
-		// a slot; no slot is held.
-		s.cancelJob(job, gerr.Error())
-		return
-	}
+	// execution mode (exact, heuristic-first, or half-open probe).
+	grant := s.admit.Begin()
 	sizeClass := admit.SizeClass(len(sc.Subscribers))
 	outcome := admit.Outcome{SizeClass: sizeClass, Failed: true}
 	// The deferred Finish is the panic backstop (Finish is idempotent; the
@@ -697,7 +680,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	asp.SetFloat("est_wait_s", job.admit.EstWait.Seconds())
 	asp.SetBool("heuristic_first", grant.HeuristicFirst())
 	asp.SetBool("probe", grant.Probe())
-	asp.SetInt("inflight_limit", s.admit.InflightLimit())
 	asp.End()
 
 	// Every job runs through the shared zone-level stores: full solves
@@ -729,7 +711,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	if err != nil {
 		if ctx.Err() != nil {
 			// Deadline misses are the breaker's signal; a client cancel is
-			// nobody's fault and must not shrink concurrency or trip anything.
+			// nobody's fault and must not trip anything.
 			outcome.Failed = outcome.DeadlineMiss
 			s.cancelJob(job, err.Error())
 		} else {
