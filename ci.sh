@@ -59,9 +59,11 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # (TestForcedShedIsTypedCountedAndA503), /healthz under a delay storm
 # (TestHealthzLiveUnderDelayStorm), bit-rotted journal quarantine
 # (TestJournalCorruptRecordQuarantined), a grid batch stream matching
-# individual solves (TestBatchGridStreamMatchesIndividualSolves), and a live
-# progress stream, flight record, dump and JSON log line
-# (TestProgressStreamLiveJob, TestFlightRecordAfterJob).
+# individual solves (TestBatchGridStreamMatchesIndividualSolves), batch-item
+# sheds and cache hits leaving the same flight records and log lines as
+# /v1/solve (TestBatchItemShedBatchSurvives), and a live progress stream,
+# flight record, dump and JSON log line (TestProgressStreamLiveJob,
+# TestFlightRecordAfterJob).
 echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
 

@@ -187,24 +187,15 @@ func (c *Controller) AllowClient(client string) error {
 // Admit makes the deadline-aware shedding decision for a cache-missing
 // submission: sizeClass buckets the scenario (SizeClass), queued is the
 // current queue depth, workers the number of solves the server runs at
-// once, and deadline the job's effective time budget. The returned error,
-// if any, is a *ShedError; a cold cost model admits everything.
-func (c *Controller) Admit(sizeClass, queued, workers int, deadline time.Duration) (Decision, error) {
-	// A lone submission has no batch siblings ahead of it.
-	return c.AdmitBatch(sizeClass, queued, workers, 0, deadline)
-}
-
-// AdmitBatch is Admit for one item of a batch submission. Batch items are
-// admitted together, before any of them holds a queue slot, so the queue
-// depth alone under-counts the work ahead of item k: its k-1 admitted
-// siblings are invisible to the pool until the batch feeder enqueues them.
-// batchAhead is the summed EstSolve of those earlier, admitted-but-not-yet-
-// queued siblings; it is divided by the same worker count as the generic
-// backlog, so the estimate stays honest for both the first item of a batch
-// (batchAhead 0 — identical to Admit) and the hundredth. Each item is shed
-// individually: a returned *ShedError rejects this item only, never the
-// batch.
-func (c *Controller) AdmitBatch(sizeClass, queued, workers int, batchAhead, deadline time.Duration) (Decision, error) {
+// once, and deadline the job's effective time budget. batchAhead is the
+// summed EstSolve of work admitted ahead of this job but not queued yet: a
+// batch's items are admitted together, before any of them holds a queue
+// slot, so the queue depth alone under-counts the work ahead of item k by
+// its k-1 admitted siblings. It drains across the same workers as the queue,
+// and is 0 for a lone submission. The returned error, if any, is a
+// *ShedError, and rejects this one job only (never its whole batch); a cold
+// cost model admits everything.
+func (c *Controller) Admit(sizeClass, queued, workers int, batchAhead, deadline time.Duration) (Decision, error) {
 	var d Decision
 	if err := fireSite(siteShed); err != nil {
 		return d, &ShedError{Reason: "fault injection: " + err.Error(), RetryAfter: time.Second}

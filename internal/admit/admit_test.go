@@ -180,7 +180,7 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 		c.Finish(c.Begin(), Outcome{SizeClass: 0, Seconds: 1.0})
 	}
 	// Plenty of budget: admitted, with estimates attached.
-	d, err := c.Admit(0, 0, 2, time.Minute)
+	d, err := c.Admit(0, 0, 2, 0, time.Minute)
 	if err != nil {
 		t.Fatalf("generous deadline shed: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 		t.Fatal("warm model returned no estimate")
 	}
 	// 10ms budget against a ~1s estimate: shed with a typed error.
-	_, err = c.Admit(0, 4, 2, 10*time.Millisecond)
+	_, err = c.Admit(0, 4, 2, 0, 10*time.Millisecond)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("tight deadline returned %v, want *ShedError", err)
@@ -201,11 +201,11 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 	}
 	// The backlog drains across the workers: with the same model and queue
 	// depth, twice the workers halve the estimated wait.
-	d2, err := c.Admit(0, 4, 2, time.Minute)
+	d2, err := c.Admit(0, 4, 2, 0, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d4, err := c.Admit(0, 4, 4, time.Minute)
+	d4, err := c.Admit(0, 4, 4, 0, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
 
 func TestControllerColdModelAdmitsEverything(t *testing.T) {
 	c := New(Options{})
-	if _, err := c.Admit(3, 1000, 1, time.Nanosecond); err != nil {
+	if _, err := c.Admit(3, 1000, 1, 0, time.Nanosecond); err != nil {
 		t.Fatalf("cold model shed a job: %v", err)
 	}
 }
@@ -245,12 +245,12 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 	}
 	t.Cleanup(fault.Disable)
 	c := New(Options{})
-	_, err := c.Admit(0, 0, 1, time.Minute)
+	_, err := c.Admit(0, 0, 1, 0, time.Minute)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("armed admit.shed returned %v, want *ShedError", err)
 	}
-	if _, err := c.Admit(0, 0, 1, time.Minute); err != nil {
+	if _, err := c.Admit(0, 0, 1, 0, time.Minute); err != nil {
 		t.Fatalf("n=1 rule still firing: %v", err)
 	}
 
@@ -258,7 +258,7 @@ func TestForcedShedAndTripFaultSites(t *testing.T) {
 	if err := fault.EnableSpec("admit.shed=panic:n=1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(0, 0, 1, time.Minute); !errors.As(err, &shed) {
+	if _, err := c.Admit(0, 0, 1, 0, time.Minute); !errors.As(err, &shed) {
 		t.Fatalf("panic-kind shed returned %v, want *ShedError", err)
 	}
 

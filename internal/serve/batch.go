@@ -18,7 +18,6 @@ package serve
 // and cancels still-queued items before they cost any solver work.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,8 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"sagrelay/internal/admit"
-	"sagrelay/internal/core"
 	"sagrelay/internal/experiment"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/scenario"
@@ -163,26 +160,6 @@ type batchPrep struct {
 	run    int
 }
 
-// itemPlan is the per-item outcome of the pre-publication pass: content
-// address, cache lookup, and the admission decision or rejection.
-type itemPlan struct {
-	key    string
-	hash   string
-	doc    []byte
-	hit    bool
-	dec    admit.Decision
-	reject *APIError
-	ctx    context.Context
-}
-
-// feedEntry is one admitted item waiting for the feeder to enqueue it.
-type feedEntry struct {
-	job *Job
-	sc  *scenario.Scenario
-	cfg core.Config
-	ctx context.Context
-}
-
 // expandBatch turns the request into validated scenarios. Validation errors
 // fail the whole batch: a client that mis-specifies its grid wants to know
 // now, not after half the grid solved.
@@ -262,40 +239,30 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		return nil, err
 	}
 	opts := req.Options.normalized()
-	if _, err := opts.coreConfig(); err != nil {
+	cfg, err := opts.coreConfig()
+	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
-	}
-	timeout := s.opts.MaxJobTime
-	if ms := opts.TimeoutMS; ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
 	}
 
 	// Pre-publication pass: content address, cache lookup and per-item
 	// admission. batchAhead accumulates the estimated solve time of this
 	// batch's earlier admitted items — they are not in pool.Len() yet (the
 	// feeder enqueues them later), but they run ahead of item i all the
-	// same, so the shedding estimate must count them.
-	plans := make([]itemPlan, len(preps))
+	// same, so the shedding estimate must count them. A shed item becomes an
+	// inline rejection; the batch survives it.
+	items := make([]*BatchItem, len(preps))
+	subs := make([]*submission, len(preps))
 	var batchAhead time.Duration
-	for i := range preps {
-		p := &preps[i]
-		plans[i].key = requestKey(p.sc, opts)
-		plans[i].hash = p.sc.CanonicalHash()
-		s.scenarios.Add(plans[i].hash, p.sc)
-		plans[i].doc, plans[i].hit = s.cache.Get(plans[i].key)
-		if plans[i].hit {
-			continue // free: never shed a cache hit
-		}
-		dec, aerr := s.admit.AdmitBatch(admit.SizeClass(len(p.sc.Subscribers)), s.pool.Len(), s.pool.Workers(), batchAhead, timeout)
-		if aerr != nil {
-			_, body := apiError(aerr)
-			plans[i].reject = &body
+	for i, p := range preps {
+		items[i] = &BatchItem{Index: i, Point: p.point, Run: p.run, Values: p.values}
+		sub := s.newSubmission(client, p.sc, opts, cfg)
+		if err := s.lookup(sub, batchAhead); err != nil {
+			_, body := apiError(err)
+			items[i].Reject = &body
 			continue
 		}
-		plans[i].dec = dec
-		batchAhead += dec.EstSolve
+		subs[i] = sub
+		batchAhead += sub.dec.EstSolve
 	}
 
 	// Publish atomically: all member jobs and the batch appear together, or
@@ -311,35 +278,12 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		ID:      "b-" + strconv.FormatInt(s.bseq, 10),
 		Created: time.Now(),
 		done:    make(chan struct{}),
-		items:   make([]*BatchItem, 0, len(preps)),
+		items:   items,
 	}
-	for i := range preps {
-		it := &BatchItem{Index: i, Point: preps[i].point, Run: preps[i].run, Values: preps[i].values}
-		b.items = append(b.items, it)
-		if plans[i].reject != nil {
-			it.Reject = plans[i].reject
-			continue
+	for i, sub := range subs {
+		if sub != nil {
+			items[i].Job = s.publishLocked(sub)
 		}
-		s.seq++
-		job := &Job{
-			ID:           "j-" + strconv.FormatInt(s.seq, 10),
-			Key:          plans[i].key,
-			ScenarioHash: plans[i].hash,
-			admit:        plans[i].dec,
-			done:         make(chan struct{}),
-			state:        StateQueued,
-			created:      time.Now(),
-			client:       client,
-		}
-		if !plans[i].hit {
-			ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-			plans[i].ctx = ctx
-			job.cancel = cancel
-			job.progress = newJobProgress()
-		}
-		it.Job = job
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
 	}
 	s.evictOldLocked()
 	s.batches[b.ID] = b
@@ -356,49 +300,34 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 	b.trace = tr
 
 	rec := batchRecDoc{Schema: batchSchema}
-	var feed []feedEntry
+	var feed []*submission
+	shed, hits := 0, 0
 	for i, it := range b.items {
-		ri := batchRecItem{Item: it.Index, Point: it.Point, Run: it.Run, Values: it.Values}
+		ri := batchRecItem{Item: it.Index, Point: it.Point, Run: it.Run, Values: it.Values, Err: it.Reject}
 		if it.Reject != nil {
-			ri.Err = it.Reject
 			rec.Items = append(rec.Items, ri)
 			s.metrics.BatchItemsShed.Add(1)
-			s.metrics.JobsShed.Add(1)
+			shed++
 			continue
 		}
-		job := it.Job
-		ri.Job = job.ID
+		ri.Job = it.Job.ID
 		rec.Items = append(rec.Items, ri)
 		sp := tr.Root().StartChild("batch.item")
 		sp.SetInt("item", int64(it.Index))
-		sp.SetAttr("job_id", job.ID)
+		sp.SetAttr("job_id", it.Job.ID)
 		it.span = sp
 
-		if plans[i].hit {
-			s.metrics.JobsAccepted.Add(1)
-			s.metrics.CacheHits.Add(1)
-			s.metrics.JobsCompleted.Add(1)
-			job.mu.Lock()
-			job.cacheHit = true
-			job.mu.Unlock()
-			s.jappend(jrec{T: recSubmit, ID: job.ID, Key: job.Key})
-			s.jappend(jrec{T: recDone, ID: job.ID, Key: job.Key})
-			job.finish(StateDone, plans[i].doc, "")
+		sub := subs[i]
+		if sub.doc != nil {
+			s.answerFromCache(sub)
+			hits++
 			continue
 		}
-		s.metrics.CacheMisses.Add(1)
-		if s.journal != nil {
-			reqBytes, err := json.Marshal(SolveRequest{Scenario: preps[i].sc, Options: opts})
-			if err != nil {
-				job.cancelNow()
-				s.failJob(job, "encode request for journal: "+err.Error())
-				continue
-			}
-			s.jappend(jrec{T: recSubmit, ID: job.ID, Key: job.Key, Req: reqBytes})
+		if s.journalSubmit(sub) != nil {
+			continue // refused: the item settles as cancelled
 		}
 		s.metrics.JobsAccepted.Add(1)
-		cfg, _ := opts.coreConfig() // fresh copy per item; validated above
-		feed = append(feed, feedEntry{job: job, sc: preps[i].sc, cfg: cfg, ctx: plans[i].ctx})
+		feed = append(feed, sub)
 	}
 	// Membership record after every member's submit record, so replay folds
 	// jobs first and the batch only references known IDs.
@@ -407,15 +336,6 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 			s.jappend(jrec{T: recBatch, ID: b.ID, Doc: docBytes})
 		} else {
 			s.metrics.JournalErrors.Add(1)
-		}
-	}
-
-	shed, hits := 0, 0
-	for i, it := range b.items {
-		if it.Reject != nil {
-			shed++
-		} else if plans[i].hit {
-			hits++
 		}
 	}
 	s.log.Info("batch accepted", obs.LogBatchID, b.ID, obs.LogClient, client,
@@ -431,21 +351,15 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 // large batch exerts backpressure on itself instead of tripping ErrQueueFull.
 // A cancelled batch stops feeding: unfed items finish as cancelled without
 // ever reaching the pool — zero solver work.
-func (s *Server) feedBatch(b *Batch, feed []feedEntry) {
+func (s *Server) feedBatch(b *Batch, feed []*submission) {
 	defer s.inFlight.Done()
-	for _, fe := range feed {
+	for _, sub := range feed {
 		if b.isCancelled() {
-			fe.job.cancelNow()
-			s.cancelJob(fe.job, "batch cancelled")
+			sub.job.cancelNow()
+			s.cancelJob(sub.job, "batch cancelled")
 			continue
 		}
-		fe := fe
-		s.inFlight.Add(1)
-		if err := s.pool.SubmitBlocking(func() { s.runJob(fe.ctx, fe.job, fe.sc, fe.cfg) }); err != nil {
-			s.inFlight.Done()
-			fe.job.cancelNow()
-			s.cancelJob(fe.job, "batch: "+err.Error())
-		}
+		s.enqueue(sub, s.pool.SubmitBlocking) // a refused item settles as cancelled
 	}
 }
 

@@ -7,16 +7,19 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"sagrelay/internal/experiment"
 	"sagrelay/internal/geom"
 	"sagrelay/internal/incr"
+	"sagrelay/internal/obs"
 	"sagrelay/internal/scenario"
 )
 
@@ -228,9 +231,16 @@ func TestBatchDisconnectCancelsUnstartedItems(t *testing.T) {
 
 // TestBatchItemShedBatchSurvives: an injected admit.shed rejects one item
 // up front while the rest of the batch solves; the stream carries the
-// rejection inline with the typed envelope.
+// rejection inline with the typed envelope. Batch items take the same
+// submission path as /v1/solve, so the shed and a later cache hit leave the
+// same flight records and log lines a single solve would.
 func TestBatchItemShedBatchSurvives(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2})
+	var logBuf syncBuffer
+	logger, err := obs.NewLogger(&logBuf, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Workers: 2, Logger: logger})
 	armFault(t, "admit.shed=error:n=1")
 
 	b, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{
@@ -258,6 +268,34 @@ func TestBatchItemShedBatchSurvives(t *testing.T) {
 	snap := s.MetricsSnapshot()
 	if snap["batch_items_shed"] != 1 || snap["jobs_shed_total"] != 1 {
 		t.Errorf("shed counters = %d/%d, want 1/1", snap["batch_items_shed"], snap["jobs_shed_total"])
+	}
+	sheds := 0
+	for _, r := range s.FlightRecorder().Records() {
+		if r.Kind == "admission" && r.Outcome == "shed" {
+			sheds++
+		}
+	}
+	if sheds != 1 {
+		t.Errorf("flight ring holds %d admission/shed records, want 1", sheds)
+	}
+	if !strings.Contains(logBuf.String(), `"msg":"job shed"`) {
+		t.Errorf("no \"job shed\" log line for the shed item:\n%s", logBuf.String())
+	}
+
+	// Re-submitting a finished item is a cache hit, answered at submit.
+	again, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{{Scenario: distinctScenario(t, 721)}}})
+	if err != nil {
+		t.Fatalf("SubmitBatch (resubmit): %v", err)
+	}
+	hit := again.Items()[0].Job
+	if st := hit.status(); st.State != StateDone || !st.CacheHit {
+		t.Fatalf("resubmitted item = %v (cache_hit %v), want a done cache hit", st.State, st.CacheHit)
+	}
+	if rec, ok := s.FlightRecorder().Get(hit.ID); !ok || rec.Outcome != "cache_hit" {
+		t.Errorf("cache-hit item %s flight record = %+v (found %v), want outcome cache_hit", hit.ID, rec, ok)
+	}
+	if !strings.Contains(logBuf.String(), `"msg":"job done from cache","job_id":"`+hit.ID+`"`) {
+		t.Errorf("no \"job done from cache\" log line for %s:\n%s", hit.ID, logBuf.String())
 	}
 
 	// The finished batch streams the rejection inline.

@@ -81,9 +81,11 @@ func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool) {
 	})
 }
 
-// recordShed retains a shed or rate-limited submission: these never become
-// jobs, so they get synthetic IDs and no detail document beyond the error.
-func (s *Server) recordShed(outcome, client, errMsg string) {
+// recordShed retains a shed submission: it never became a job, so it gets a
+// synthetic ID and no detail document beyond the error. Rate-limited
+// submissions are deliberately not recorded: a client flood would evict
+// failure records from the ring's reserved half.
+func (s *Server) recordShed(client, errMsg string) {
 	if s.flight == nil {
 		return
 	}
@@ -91,7 +93,7 @@ func (s *Server) recordShed(outcome, client, errMsg string) {
 	s.flight.Record(obs.FlightRecord{
 		ID:      "shed-" + strconv.FormatInt(flightSeq.Add(1), 10),
 		Kind:    "admission",
-		Outcome: outcome,
+		Outcome: "shed",
 		Client:  client,
 		Error:   errMsg,
 		Start:   now,

@@ -55,9 +55,9 @@ type Job struct {
 	done chan struct{}
 
 	mu sync.Mutex
-	// cancel aborts the job's solve context. It is mu-guarded because
-	// Server.Cancel (HTTP DELETE) may read it from another goroutine while
-	// replay installs the real cancel func; use setCancel/cancelNow.
+	// cancel aborts the job's solve context; nil for jobs that never run a
+	// solve. It is mu-guarded because Server.Cancel (HTTP DELETE) may read it
+	// from another goroutine while the job is armed; use setCancel/cancelNow.
 	cancel   context.CancelFunc
 	state    JobState
 	err      string
@@ -157,7 +157,14 @@ func (j *Job) finish(state JobState, result []byte, errMsg string) {
 	close(j.done)
 }
 
-// setCancel installs the job's cancel function after publication.
+// markCacheHit flags a job answered with a document it did not solve.
+func (j *Job) markCacheHit() {
+	j.mu.Lock()
+	j.cacheHit = true
+	j.mu.Unlock()
+}
+
+// setCancel installs the job's cancel function.
 func (j *Job) setCancel(fn context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = fn

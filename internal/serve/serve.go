@@ -301,62 +301,47 @@ func (s *Server) replay(recs []jrec) {
 	s.seq = maxSeq
 	s.bseq = maxBSeq
 
-	type pendingJob struct {
-		job  *Job
-		sc   *scenario.Scenario
-		opts SolveOptions
-		cfg  core.Config
-	}
-	var pending []pendingJob
+	var pending []*submission
 	termRecs := make(map[string]jrec) // synthesized terminal records for compaction
+	settle := func(job *Job, state JobState, doc []byte, tr jrec) {
+		job.finish(state, doc, tr.Err)
+		termRecs[job.ID] = tr
+	}
+	restore := func(job *Job, state JobState, doc []byte, tr jrec) {
+		settle(job, state, doc, tr)
+		s.metrics.JournalRestored.Add(1)
+	}
 	for _, id := range order {
 		f := byID[id]
-		job := &Job{
-			ID:      id,
-			Key:     f.submit.Key,
-			done:    make(chan struct{}),
-			state:   StateQueued,
-			created: time.Now(),
-			cancel:  func() {},
-		}
 		// Parse the journaled request up front (when one was journaled): even
 		// terminally-restored jobs then carry their scenario hash and retain
 		// the scenario, so they can serve as a base for /v1/resolve.
 		var req SolveRequest
 		haveReq := len(f.submit.Req) > 0 &&
 			json.Unmarshal(f.submit.Req, &req) == nil && req.Scenario != nil
+		var scHash string
 		if haveReq {
-			job.ScenarioHash = req.Scenario.CanonicalHash()
-			s.scenarios.Add(job.ScenarioHash, req.Scenario)
+			scHash = s.retainScenario(req.Scenario)
 		}
-		s.jobs[id] = job
-		s.order = append(s.order, id)
+		job := s.addJobLocked(id, f.submit.Key, scHash, "")
 
 		if f.term != nil {
 			switch f.term.T {
 			case recFail:
-				job.finish(StateFailed, nil, f.term.Err)
-				s.metrics.JournalRestored.Add(1)
-				termRecs[id] = jrec{T: recFail, ID: id, Err: f.term.Err}
+				restore(job, StateFailed, nil, jrec{T: recFail, ID: id, Err: f.term.Err})
 				continue
 			case recCancel:
-				job.finish(StateCancelled, nil, f.term.Err)
-				s.metrics.JournalRestored.Add(1)
-				termRecs[id] = jrec{T: recCancel, ID: id, Err: f.term.Err}
+				restore(job, StateCancelled, nil, jrec{T: recCancel, ID: id, Err: f.term.Err})
 				continue
 			case recDone:
 				if len(f.term.Doc) > 0 {
 					// Degraded result, journaled inline.
-					job.finish(StateDone, []byte(f.term.Doc), "")
-					s.metrics.JournalRestored.Add(1)
-					termRecs[id] = jrec{T: recDone, ID: id, Key: job.Key, Doc: f.term.Doc}
+					restore(job, StateDone, []byte(f.term.Doc), jrec{T: recDone, ID: id, Key: job.Key, Doc: f.term.Doc})
 					continue
 				}
 				if doc, ok := s.journal.loadResult(job.Key); ok {
 					s.cache.Add(job.Key, doc)
-					job.finish(StateDone, doc, "")
-					s.metrics.JournalRestored.Add(1)
-					termRecs[id] = jrec{T: recDone, ID: id, Key: job.Key}
+					restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key})
 					continue
 				}
 				// done record without its result file (lost or deleted):
@@ -366,34 +351,24 @@ func (s *Server) replay(recs []jrec) {
 
 		if !haveReq {
 			s.metrics.JournalErrors.Add(1)
-			msg := "journal: submit record has no readable request"
-			job.finish(StateFailed, nil, msg)
-			termRecs[id] = jrec{T: recFail, ID: id, Err: msg}
+			settle(job, StateFailed, nil, jrec{T: recFail, ID: id, Err: "journal: submit record has no readable request"})
 			continue
 		}
 		opts := req.Options.normalized()
 		cfg, err := opts.coreConfig()
 		if err != nil {
-			msg := "journal: " + err.Error()
-			job.finish(StateFailed, nil, msg)
-			termRecs[id] = jrec{T: recFail, ID: id, Err: msg}
+			settle(job, StateFailed, nil, jrec{T: recFail, ID: id, Err: "journal: " + err.Error()})
 			continue
 		}
 		if doc, ok := s.cache.Get(job.Key); ok {
 			// An already-restored job with the same content address pays for
-			// this one too.
-			job.mu.Lock()
-			job.cacheHit = true
-			job.mu.Unlock()
-			job.finish(StateDone, doc, "")
-			s.metrics.JournalRestored.Add(1)
-			termRecs[id] = jrec{T: recDone, ID: id, Key: job.Key}
+			// this one too. Its records are durable already, so this is a
+			// restore, not a fresh answer from the cache.
+			job.markCacheHit()
+			restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key})
 			continue
 		}
-		// Re-run jobs are live again: they get progress state like any
-		// fresh submission.
-		job.progress = newJobProgress()
-		pending = append(pending, pendingJob{job: job, sc: req.Scenario, opts: opts, cfg: cfg})
+		pending = append(pending, &submission{sc: req.Scenario, opts: opts, cfg: cfg, job: job})
 	}
 	s.evictOldLocked() // NewServer is single-threaded here; lock not yet needed
 
@@ -420,26 +395,15 @@ func (s *Server) replay(recs []jrec) {
 		s.restoreBatch(r.ID, r.Doc)
 	}
 
-	for _, p := range pending {
-		timeout := s.opts.MaxJobTime
-		if ms := p.opts.TimeoutMS; ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < timeout {
-				timeout = d
-			}
+	// Re-run jobs are live again: they get a fresh deadline and progress
+	// state like any new submission. The recovered backlog may exceed the
+	// queue depth; block rather than drop — these jobs were already accepted
+	// in a previous life.
+	for _, sub := range pending {
+		s.armJob(sub)
+		if s.enqueue(sub, s.pool.SubmitBlocking) == nil {
+			s.metrics.JournalReplayed.Add(1)
 		}
-		ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-		p.job.setCancel(cancel)
-		s.inFlight.Add(1)
-		job, sc, cfg := p.job, p.sc, p.cfg
-		// The recovered backlog may exceed the queue depth; block rather
-		// than drop — these jobs were already accepted in a previous life.
-		if err := s.pool.SubmitBlocking(func() { s.runJob(ctx, job, sc, cfg) }); err != nil {
-			s.inFlight.Done()
-			cancel()
-			s.failJob(job, "journal replay: "+err.Error())
-			continue
-		}
-		s.metrics.JournalReplayed.Add(1)
 	}
 }
 
@@ -459,7 +423,7 @@ func (s *Server) SubmitFrom(client string, req SolveRequest) (*Job, error) {
 }
 
 // submit is Submit plus the resolve path's incremental metadata, attached to
-// the job before it is published so runJob sees it race-free.
+// the job under the publication lock so runJob sees it race-free.
 func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, error) {
 	if req.Scenario == nil {
 		return nil, fmt.Errorf("serve: request has no scenario")
@@ -479,132 +443,45 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	key := requestKey(req.Scenario, opts)
-	// Retain the scenario before the job is visible: a client that reads the
-	// accepted job's scenario_hash may immediately resolve against it.
-	scHash := req.Scenario.CanonicalHash()
-	s.scenarios.Add(scHash, req.Scenario)
-
-	timeout := s.opts.MaxJobTime
-	if ms := opts.TimeoutMS; ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	sub := s.newSubmission(client, req.Scenario, opts, cfg)
+	if err := s.lookup(sub, 0); err != nil {
+		return nil, err
 	}
-
-	// Deadline-aware shedding, decided before the job takes a queue slot.
-	// Cache hits skip it — they are answered without any solver work, so
-	// shedding them would refuse free requests. The one-time cache lookup
-	// here is reused below (a concurrent fill between lookup and publication
-	// only means an admitted job re-solves to identical bytes).
-	cachedDoc, cacheHit := s.cache.Get(key)
-	var admitDec admit.Decision
-	if !cacheHit {
-		dec, err := s.admit.Admit(admit.SizeClass(len(req.Scenario.Subscribers)), s.pool.Len(), s.pool.Workers(), timeout)
-		if err != nil {
-			s.metrics.JobsShed.Add(1)
-			s.log.Warn("job shed", obs.LogClient, client, "error", err.Error())
-			s.recordShed("shed", client, err.Error())
-			return nil, err
-		}
-		admitDec = dec
-	}
-
-	// The job's context (and its cancel func) exist before the job is
-	// published into the table, so a concurrent DELETE /v1/jobs/{id} can
-	// never observe a job without a cancel function.
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cancel()
 		s.metrics.JobsRejected.Add(1)
 		return nil, ErrShuttingDown
 	}
-	s.seq++
-	job := &Job{
-		ID:           "j-" + strconv.FormatInt(s.seq, 10),
-		Key:          key,
-		ScenarioHash: scHash,
-		incr:         meta,
-		admit:        admitDec,
-		client:       client,
-		cancel:       cancel,
-		done:         make(chan struct{}),
-		state:        StateQueued,
-		created:      time.Now(),
+	job := s.publishLocked(sub)
+	job.incr = meta
+	if meta != nil && job.progress != nil {
+		// The resolve planner already knows the zone partition and the
+		// dirty set; pre-seed the rows so a watcher sees the full zone map
+		// before the first solver event.
+		job.progress.seed(meta.plan.ZoneSizes, meta.plan.Dirty)
 	}
-	if !cacheHit {
-		job.progress = newJobProgress()
-		if meta != nil {
-			// The resolve planner already knows the zone partition and the
-			// dirty set; pre-seed the rows so a watcher sees the full zone
-			// map before the first solver event.
-			job.progress.seed(meta.plan.ZoneSizes, meta.plan.Dirty)
-		}
-	}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.evictOldLocked()
 	s.mu.Unlock()
 
-	if cacheHit {
-		cancel() // nothing will run; release the deadline timer
-		s.metrics.JobsAccepted.Add(1)
-		s.metrics.CacheHits.Add(1)
-		s.metrics.JobsCompleted.Add(1)
-		job.mu.Lock()
-		job.cacheHit = true
-		job.mu.Unlock()
-		// Cached documents always have a durable twin under results/ when
-		// the journal is on, so submit+done suffices for replay.
-		s.jappend(jrec{T: recSubmit, ID: job.ID, Key: key})
-		s.jappend(jrec{T: recDone, ID: job.ID, Key: key})
-		job.finish(StateDone, cachedDoc, "")
-		s.log.Info("job done from cache", obs.LogJobID, job.ID, obs.LogClient, client, "key", key)
-		s.recordFlight(job, "cache_hit", false, false)
+	if sub.doc != nil {
+		s.answerFromCache(sub)
 		return job, nil
 	}
-	s.metrics.CacheMisses.Add(1)
-
-	// Journal the submission before the pool can run it: the WAL must know
-	// about a job before any of its later records, and before the client is
-	// told it was accepted.
-	if s.journal != nil {
-		reqBytes, err := json.Marshal(SolveRequest{Scenario: req.Scenario, Options: opts})
-		if err != nil {
-			// Nothing was journaled and nothing will run: unpublish the job
-			// so the table does not retain a phantom queued entry forever.
-			cancel()
-			s.removeJob(job.ID)
-			s.metrics.JobsRejected.Add(1)
-			return nil, fmt.Errorf("serve: encode request for journal: %w", err)
-		}
-		s.jappend(jrec{T: recSubmit, ID: job.ID, Key: key, Req: reqBytes})
+	if err := s.journalSubmit(sub); err != nil {
+		return nil, err
 	}
-
-	s.inFlight.Add(1)
-	if err := s.pool.Submit(func() { s.runJob(ctx, job, req.Scenario, cfg) }); err != nil {
-		s.inFlight.Done()
-		cancel()
-		s.removeJob(job.ID)
-		// The submission was journaled; record the rejection so replay does
-		// not resurrect a job the client was refused.
-		s.jappend(jrec{T: recCancel, ID: job.ID, Err: "rejected: " + err.Error()})
-		s.metrics.JobsRejected.Add(1)
-		if errors.Is(err, par.ErrPoolClosed) {
-			return nil, ErrShuttingDown
-		}
+	if err := s.enqueue(sub, s.pool.Submit); err != nil {
 		return nil, err
 	}
 	s.metrics.JobsAccepted.Add(1)
-	s.log.Info("job accepted", obs.LogJobID, job.ID, obs.LogClient, client, "key", key)
+	s.log.Info("job accepted", obs.LogJobID, job.ID, obs.LogClient, client, "key", job.Key)
 	return job, nil
 }
 
-// removeJob unpublishes an accepted-but-never-run job from the table (pool
-// rejection or journal-encode failure in Submit).
+// removeJob unpublishes an accepted-but-never-run job from the table (see
+// refuse).
 func (s *Server) removeJob(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
