@@ -174,6 +174,7 @@ func BenchmarkAblationZones(b *testing.B) {
 
 func BenchmarkSAMC30(b *testing.B) {
 	sc := benchScenario(b, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lower.SAMC(context.Background(), sc, lower.SAMCOptions{}); err != nil {
@@ -245,6 +246,7 @@ func BenchmarkHittingSet(b *testing.B) {
 	disks := sc.FeasibleCircles()
 	cands := geom.IntersectionCandidates(disks)
 	inst := &hitting.Instance{Disks: disks, Candidates: cands, Tol: 1e-7}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := inst.Solve(hitting.DefaultOptions()); err != nil {

@@ -79,19 +79,13 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
 func (b bitset) orInto(o bitset) {
 	for i := range b {
 		b[i] |= o[i]
 	}
 }
 
-// countAndNotIn returns |o \ b|: bits of o not present in b.
+// countNotIn returns |o \ b|: bits of o not present in b.
 func (b bitset) countNotIn(o bitset) int {
 	n := 0
 	for i := range b {
@@ -110,6 +104,16 @@ func (b bitset) containsAll(o bitset) bool {
 	return true
 }
 
+// meets reports whether b and o share a bit.
+func (b bitset) meets(o bitset) bool {
+	for i := range b {
+		if o[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (b bitset) popcount() int {
 	n := 0
 	for _, w := range b {
@@ -118,11 +122,14 @@ func (b bitset) popcount() int {
 	return n
 }
 
-// hitSets returns, per candidate, the bitset of disks it hits.
+// hitSets returns, per candidate, the bitset of disks it hits. The sets
+// share one backing array.
 func (in *Instance) hitSets() []bitset {
+	w := (len(in.Disks) + 63) / 64
+	flat := make(bitset, w*len(in.Candidates))
 	sets := make([]bitset, len(in.Candidates))
 	for c, p := range in.Candidates {
-		s := newBitset(len(in.Disks))
+		s := flat[c*w : (c+1)*w : (c+1)*w]
 		for d, disk := range in.Disks {
 			if disk.Contains(p, in.Tol) {
 				s.set(d)
@@ -178,9 +185,9 @@ func (in *Instance) Solve(opts Options) (*Solution, error) {
 	chosen := greedy(hit, nD)
 	sol := &Solution{GreedySize: len(chosen)}
 	if opts.LocalSearch {
-		var rounds int
-		chosen, rounds = localSearch(hit, nD, chosen, opts)
-		sol.Rounds = rounds
+		s := newSearch(hit, nD, chosen)
+		sol.Rounds = s.localSearch(opts)
+		chosen = s.chosen
 	}
 	sort.Ints(chosen)
 	sol.Chosen = chosen
@@ -336,53 +343,91 @@ func greedy(hit []bitset, nD int) []int {
 	return chosen
 }
 
+// search is the local-search state of one Solve call. Its scratch bitsets
+// and the useful slice are allocated once, so trying a move allocates
+// nothing. Zones are solved concurrently, so it is never shared.
+//
+// Every move is tested against the exclusive set need: the disks that no
+// kept point hits, i.e. the disks only the removed points hit. Since chosen
+// is always a full cover, a replacement restores the cover iff it hits all
+// of need.
+type search struct {
+	hit    []bitset
+	chosen []int
+	// once, twice and thrice hold the disks that exactly one, two and
+	// three chosen points hit. replace recounts them whenever chosen
+	// changes, so every move reads current data.
+	once, twice, thrice bitset
+	need, needA         bitset
+	useful              []int
+}
+
+func newSearch(hit []bitset, nD int, chosen []int) *search {
+	w := (nD + 63) / 64
+	flat := make(bitset, 5*w)
+	s := &search{
+		hit:    hit,
+		chosen: chosen,
+		once:   flat[0*w : 1*w : 1*w],
+		twice:  flat[1*w : 2*w : 2*w],
+		thrice: flat[2*w : 3*w : 3*w],
+		need:   flat[3*w : 4*w : 4*w],
+		needA:  flat[4*w : 5*w : 5*w],
+		useful: make([]int, 0, len(hit)),
+	}
+	s.count()
+	return s
+}
+
 // localSearch improves the solution with (q -> q-1) swaps for q = 1..MaxSwap:
 // q=1 removes redundant points; q=2 replaces two points with one; q=3
 // replaces three with two. Sweeps repeat until a full round makes no
-// progress or MaxRounds is hit.
-func localSearch(hit []bitset, nD int, chosen []int, opts Options) ([]int, int) {
+// progress or MaxRounds is hit. It returns the number of rounds run.
+func (s *search) localSearch(opts Options) int {
 	rounds := 0
 	for rounds < opts.MaxRounds {
 		rounds++
 		improved := false
-		if removeRedundant(hit, nD, &chosen) {
+		if s.removeRedundant() {
 			improved = true
 		}
-		if opts.MaxSwap >= 2 && swap21(hit, nD, &chosen) {
+		if opts.MaxSwap >= 2 && s.swap21() {
 			improved = true
 		}
-		if opts.MaxSwap >= 3 && swap32(hit, nD, &chosen) {
+		if opts.MaxSwap >= 3 && s.swap32() {
 			improved = true
 		}
 		if !improved {
 			break
 		}
 	}
-	return chosen, rounds
+	return rounds
 }
 
-// coverageWithout returns the union of hit sets of chosen, skipping indices
-// in the skip set.
-func coverageWithout(hit []bitset, nD int, chosen []int, skip map[int]bool) bitset {
-	cov := newBitset(nD)
-	for _, c := range chosen {
-		if skip[c] {
-			continue
+// count fills once, twice and thrice from the current chosen points.
+func (s *search) count() {
+	for w := range s.once {
+		var ge1, ge2, ge3, ge4 uint64
+		for _, c := range s.chosen {
+			x := s.hit[c][w]
+			ge4 |= ge3 & x
+			ge3 |= ge2 & x
+			ge2 |= ge1 & x
+			ge1 |= x
 		}
-		cov.orInto(hit[c])
+		s.once[w] = ge1 &^ ge2
+		s.twice[w] = ge2 &^ ge3
+		s.thrice[w] = ge3 &^ ge4
 	}
-	return cov
 }
 
-// removeRedundant deletes chosen points whose disks are all covered by the
-// rest (1 -> 0 swaps). Returns true when anything was removed.
-func removeRedundant(hit []bitset, nD int, chosen *[]int) bool {
+// removeRedundant deletes chosen points that hit no disk alone (1 -> 0
+// swaps: need is empty). Returns true when anything was removed.
+func (s *search) removeRedundant() bool {
 	removed := false
-	for i := 0; i < len(*chosen); {
-		c := (*chosen)[i]
-		rest := coverageWithout(hit, nD, *chosen, map[int]bool{c: true})
-		if rest.containsAll(hit[c]) && rest.popcount() == nD {
-			*chosen = append((*chosen)[:i], (*chosen)[i+1:]...)
+	for i := 0; i < len(s.chosen); {
+		if !s.hit[s.chosen[i]].meets(s.once) {
+			s.replace(i, -1, -1)
 			removed = true
 			continue
 		}
@@ -392,28 +437,23 @@ func removeRedundant(hit []bitset, nD int, chosen *[]int) bool {
 }
 
 // swap21 tries to replace a pair of chosen points with a single candidate
-// (2 -> 1 swaps). Returns true on the first successful swap per sweep.
-func swap21(hit []bitset, nD int, chosen *[]int) bool {
-	ch := *chosen
+// (2 -> 1 swaps): candidate c succeeds iff hit[c] ⊇ need. Returns true on
+// the first successful swap per sweep.
+func (s *search) swap21() bool {
+	ch := s.chosen
 	for i := 0; i < len(ch); i++ {
+		x := s.hit[ch[i]]
 		for j := i + 1; j < len(ch); j++ {
-			rest := coverageWithout(hit, nD, ch, map[int]bool{ch[i]: true, ch[j]: true})
-			// need = disks covered only by the removed pair
-			for c, s := range hit {
+			y := s.hit[ch[j]]
+			for w := range s.need {
+				s.need[w] = s.once[w]&(x[w]|y[w]) | s.twice[w]&x[w]&y[w]
+			}
+			for c, h := range s.hit {
 				if c == ch[i] || c == ch[j] {
 					continue
 				}
-				merged := rest.clone()
-				merged.orInto(s)
-				if merged.popcount() == nD {
-					out := make([]int, 0, len(ch)-1)
-					for k, v := range ch {
-						if k != i && k != j {
-							out = append(out, v)
-						}
-					}
-					out = append(out, c)
-					*chosen = out
+				if h.containsAll(s.need) {
+					s.replace(i, j, -1, c)
 					return true
 				}
 			}
@@ -423,41 +463,55 @@ func swap21(hit []bitset, nD int, chosen *[]int) bool {
 }
 
 // swap32 tries to replace a triple of chosen points with two candidates
-// (3 -> 2 swaps). To stay polynomial it only pairs candidates that each
-// cover at least one disk the triple exclusively covered.
-func swap32(hit []bitset, nD int, chosen *[]int) bool {
-	ch := *chosen
+// (3 -> 2 swaps). To stay polynomial it only pairs useful candidates, those
+// hitting some disk of need; a triple with an empty need has none. The pair
+// (a, b) succeeds iff hit[b] ⊇ need \ hit[a], and a alone (3 -> 1) iff
+// hit[a] ⊇ need.
+func (s *search) swap32() bool {
+	ch := s.chosen
 	if len(ch) < 3 {
 		return false
 	}
 	for i := 0; i < len(ch); i++ {
+		x := s.hit[ch[i]]
 		for j := i + 1; j < len(ch); j++ {
+			y := s.hit[ch[j]]
 			for k := j + 1; k < len(ch); k++ {
-				skip := map[int]bool{ch[i]: true, ch[j]: true, ch[k]: true}
-				rest := coverageWithout(hit, nD, ch, skip)
-				// Candidates that help at all:
-				var useful []int
-				for c, s := range hit {
-					if skip[c] {
+				z := s.hit[ch[k]]
+				var nonEmpty uint64
+				for w := range s.need {
+					xy, xyOr := x[w]&y[w], x[w]|y[w]
+					n := s.once[w]&(xyOr|z[w]) | s.twice[w]&(xy|xyOr&z[w]) | s.thrice[w]&xy&z[w]
+					s.need[w] = n
+					nonEmpty |= n
+				}
+				if nonEmpty == 0 {
+					continue
+				}
+				useful := s.useful[:0]
+				for c, h := range s.hit {
+					if c == ch[i] || c == ch[j] || c == ch[k] {
 						continue
 					}
-					if rest.countNotIn(s) > 0 {
+					if h.meets(s.need) {
 						useful = append(useful, c)
 					}
 				}
-				for a := 0; a < len(useful); a++ {
-					mergedA := rest.clone()
-					mergedA.orInto(hit[useful[a]])
-					if mergedA.popcount() == nD {
+				for a, ca := range useful {
+					ha := s.hit[ca]
+					var left uint64
+					for w := range s.needA {
+						s.needA[w] = s.need[w] &^ ha[w]
+						left |= s.needA[w]
+					}
+					if left == 0 {
 						// Even a single candidate suffices: 3 -> 1.
-						*chosen = rebuild(ch, skip, useful[a])
+						s.replace(i, j, k, ca)
 						return true
 					}
-					for b := a + 1; b < len(useful); b++ {
-						merged := mergedA.clone()
-						merged.orInto(hit[useful[b]])
-						if merged.popcount() == nD {
-							*chosen = rebuild(ch, skip, useful[a], useful[b])
+					for _, cb := range useful[a+1:] {
+						if s.hit[cb].containsAll(s.needA) {
+							s.replace(i, j, k, ca, cb)
 							return true
 						}
 					}
@@ -468,13 +522,16 @@ func swap32(hit []bitset, nD int, chosen *[]int) bool {
 	return false
 }
 
-// rebuild returns chosen minus the skipped indices plus the replacements.
-func rebuild(chosen []int, skip map[int]bool, add ...int) []int {
-	out := make([]int, 0, len(chosen))
-	for _, v := range chosen {
-		if !skip[v] {
+// replace drops the chosen points at positions i, j and k (-1 for none) in
+// place, keeping the rest in order, appends add and recounts the
+// multiplicity bitsets.
+func (s *search) replace(i, j, k int, add ...int) {
+	out := s.chosen[:0]
+	for p, v := range s.chosen {
+		if p != i && p != j && p != k {
 			out = append(out, v)
 		}
 	}
-	return append(out, add...)
+	s.chosen = append(out, add...)
+	s.count()
 }

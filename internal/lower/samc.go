@@ -128,7 +128,7 @@ func SAMC(ctx context.Context, sc *scenario.Scenario, opts SAMCOptions) (*Result
 				}
 			}
 		}
-		relays, err := samcZone(sc, zone, opts)
+		relays, mhs, err := samcZone(sc, zone, opts)
 		zSpan.End()
 		zoneSolveSeconds.Observe(time.Since(zoneStart).Seconds())
 		if err != nil {
@@ -144,6 +144,8 @@ func SAMC(ctx context.Context, sc *scenario.Scenario, opts SAMCOptions) (*Result
 			return nil, fmt.Errorf("lower: SAMC: %w", err)
 		}
 		zSpan.SetInt("relays", int64(len(relays)))
+		zSpan.SetInt("greedy_size", int64(mhs.GreedySize))
+		zSpan.SetInt("ls_rounds", int64(mhs.Rounds))
 		if opts.Cache != nil {
 			if local, ok := localizeRelays(relays, zone); ok {
 				opts.Cache.Put(cacheKey, &ZoneEntry{Relays: local})
@@ -160,8 +162,9 @@ func SAMC(ctx context.Context, sc *scenario.Scenario, opts SAMCOptions) (*Result
 	return res, nil
 }
 
-// samcZone runs steps 4 of Algorithm 1 for one zone.
-func samcZone(sc *scenario.Scenario, zone []int, opts SAMCOptions) ([]Relay, error) {
+// samcZone runs steps 4 of Algorithm 1 for one zone. It also returns the
+// hitting-set solution the relays came from, for the zone span.
+func samcZone(sc *scenario.Scenario, zone []int, opts SAMCOptions) ([]Relay, *hitting.Solution, error) {
 	disks := make([]geom.Circle, len(zone))
 	for i, s := range zone {
 		disks[i] = sc.Subscribers[s].Circle()
@@ -173,7 +176,7 @@ func samcZone(sc *scenario.Scenario, zone []int, opts SAMCOptions) ([]Relay, err
 	}
 	mhs, err := inst.Solve(opts.Hitting)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	points := make([]geom.Point, len(mhs.Chosen))
 	for i, c := range mhs.Chosen {
@@ -181,19 +184,19 @@ func samcZone(sc *scenario.Scenario, zone []int, opts SAMCOptions) ([]Relay, err
 	}
 	relays, err := CoverageLinkEscape(sc, zone, points)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.SkipSliding {
 		if !snrSatisfied(sc, relays) {
-			return nil, ErrInfeasible
+			return nil, nil, ErrInfeasible
 		}
-		return relays, nil
+		return relays, mhs, nil
 	}
 	slid, ok := SlidingMovement(sc, relays)
 	if !ok {
-		return nil, ErrInfeasible
+		return nil, nil, ErrInfeasible
 	}
-	return slid, nil
+	return slid, mhs, nil
 }
 
 // snrSatisfied checks every covered subscriber's Definition 2 SNR against

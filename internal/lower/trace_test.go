@@ -2,6 +2,7 @@ package lower
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"sagrelay/internal/obs"
@@ -51,5 +52,33 @@ func TestZoneSpansLandUnderRootParallel(t *testing.T) {
 	if seqDirect != direct || seqTotal != total {
 		t.Fatalf("zone span tree differs by worker count: sequential %d/%d, parallel %d/%d",
 			seqDirect, seqTotal, direct, total)
+	}
+}
+
+// TestSAMCZoneSpanCarriesLocalSearch: every SAMC zone span records what
+// local search did to the zone's hitting set, as greedy_size and ls_rounds
+// beside relays.
+func TestSAMCZoneSpanCarriesLocalSearch(t *testing.T) {
+	sc := testScenario(t, 800, 40, 1)
+	tr := obs.NewTrace("root")
+	res, err := SAMC(obs.WithTrace(context.Background(), tr), sc, SAMCOptions{})
+	if err != nil || !res.Feasible {
+		t.Fatalf("SAMC: feasible=%v err=%v", res != nil && res.Feasible, err)
+	}
+	tr.Finish()
+	zones := 0
+	for _, z := range tr.Doc().Spans {
+		if z.Name != "zone" {
+			continue
+		}
+		zones++
+		greedy, err1 := strconv.Atoi(z.Attrs["greedy_size"])
+		rounds, err2 := strconv.Atoi(z.Attrs["ls_rounds"])
+		if err1 != nil || err2 != nil || greedy < 1 || rounds < 1 {
+			t.Errorf("zone span attrs %v: want greedy_size and ls_rounds >= 1", z.Attrs)
+		}
+	}
+	if zones != len(res.Zones) {
+		t.Fatalf("%d zone spans for %d zones", zones, len(res.Zones))
 	}
 }
