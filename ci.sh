@@ -86,6 +86,14 @@ go test -count=1 -run TestPivotRegressionGate ./internal/milp/
 echo "== go test -race -run 'Warm' ./internal/lp/ ./internal/milp/"
 go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
 
+# Hitting-set equivalence gate: local search must take the same swaps as
+# the reference kept in internal/hitting/reference_test.go. The -short race
+# pass above cuts the differential streams to a few dozen fields, which miss
+# rare states such as a sweep whose 2 -> 1 swap leaves a point no disk needs
+# alone; the full streams (~50 s) run here, without -race to keep it short.
+echo "== go test -run MatchesReference ./internal/hitting/"
+go test -count=1 -run MatchesReference -timeout 10m ./internal/hitting/
+
 # Incremental-equivalence gate: a mutation storm of every delta kind (add,
 # remove, move and traffic-change subscribers; add and remove base stations)
 # where each incremental solve through warmed zone-level stores must be

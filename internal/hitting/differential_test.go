@@ -2,6 +2,7 @@ package hitting_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -125,15 +126,10 @@ func randomCover(rng *rand.Rand, in *hitting.Instance) []int {
 	return nil
 }
 
-// TestLocalSearchMatchesReference starts local search from random covers,
-// far worse than greedy ones, so each run chains many removals and swaps.
-// The final points must equal the reference's in order, not only as a set,
-// and so must the number of rounds.
-func TestLocalSearchMatchesReference(t *testing.T) {
-	n := 200
-	if testing.Short() {
-		n = 40
-	}
+// localSearchFields draws the seeded stream of n fields local search is
+// compared on, with their random starting covers (nil for an uncoverable
+// field): 1-30 disks, and 65-80 disks for every tenth field.
+func localSearchFields(n int) (fields []*hitting.Instance, starts [][]int) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < n; i++ {
 		nD := 1 + rng.Intn(30)
@@ -141,15 +137,100 @@ func TestLocalSearchMatchesReference(t *testing.T) {
 			nD = 65 + rng.Intn(16)
 		}
 		in := diskField(rng, nD)
-		start := randomCover(rng, in)
-		if start == nil {
-			continue
+		fields = append(fields, in)
+		starts = append(starts, randomCover(rng, in))
+	}
+	return fields, starts
+}
+
+// requireSameSearchAsReference runs local search from start under each of
+// diffOptions. The final points must equal the reference's in order, not
+// only as a set, and so must the number of rounds.
+func requireSameSearchAsReference(t *testing.T, name string, in *hitting.Instance, start []int) {
+	t.Helper()
+	for _, opts := range diffOptions {
+		got, gotRounds := in.LocalSearchFrom(start, opts)
+		want, wantRounds := in.RefLocalSearchFrom(start, opts)
+		if !reflect.DeepEqual(got, want) || gotRounds != wantRounds {
+			t.Fatalf("%s %+v from %v: got %v in %d rounds, reference %v in %d", name, opts, start, got, gotRounds, want, wantRounds)
 		}
-		for _, opts := range diffOptions {
-			got, gotRounds := in.LocalSearchFrom(start, opts)
-			want, wantRounds := in.RefLocalSearchFrom(start, opts)
-			if !reflect.DeepEqual(got, want) || gotRounds != wantRounds {
-				t.Fatalf("field %d %+v from %v: got %v in %d rounds, reference %v in %d", i, opts, start, got, gotRounds, want, wantRounds)
+	}
+}
+
+// TestLocalSearchMatchesReference starts local search from random covers,
+// far worse than greedy ones, so each run chains many removals and swaps.
+func TestLocalSearchMatchesReference(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 40
+	}
+	fields, starts := localSearchFields(n)
+	for i, in := range fields {
+		if starts[i] != nil {
+			requireSameSearchAsReference(t, fmt.Sprintf("field %d", i), in, starts[i])
+		}
+	}
+}
+
+// TestLocalSearchMatchesReferenceOnPinnedFields keeps two fields of the
+// stream above in every run, -short included; each ends elsewhere than the
+// reference, at MaxSwap 3, under a mutant only the full stream caught.
+//   - Field 126: a 2 -> 1 swap leaves a chosen point that no disk needs
+//     alone when the same sweep's 3 -> 2 pass starts, so the triple skip
+//     must treat a point without exclusive disks as compatible with every
+//     other.
+//   - Field 121: a 3 -> 2 swap must not offer a removed point of the triple
+//     as one of its two replacements.
+func TestLocalSearchMatchesReferenceOnPinnedFields(t *testing.T) {
+	fields, starts := localSearchFields(127)
+	for _, pin := range []struct {
+		field int
+		want  []int
+	}{
+		{121, []int{80, 81, 0, 43}},
+		{126, []int{107, 63, 2, 24, 52}},
+	} {
+		in, start := fields[pin.field], starts[pin.field]
+		got, _ := in.LocalSearchFrom(start, hitting.DefaultOptions())
+		if !reflect.DeepEqual(got, pin.want) {
+			t.Fatalf("field %d, MaxSwap 3 from %v: got %v, want %v", pin.field, start, got, pin.want)
+		}
+		requireSameSearchAsReference(t, fmt.Sprintf("field %d", pin.field), in, start)
+	}
+}
+
+// wordField draws nD disks and exactly nC uniform candidate points, and
+// centres each disk within half its radius of a random candidate, so every
+// disk is coverable whatever the counts.
+func wordField(rng *rand.Rand, nD, nC int) *hitting.Instance {
+	side := 35 * math.Sqrt(float64(nD))
+	in := &hitting.Instance{Tol: zoneTol}
+	for i := 0; i < nC; i++ {
+		in.Candidates = append(in.Candidates, geom.Pt(rng.Float64()*side, rng.Float64()*side))
+	}
+	for i := 0; i < nD; i++ {
+		r := 30 + rng.Float64()*10
+		c := in.Candidates[rng.Intn(nC)]
+		a, d := rng.Float64()*2*math.Pi, rng.Float64()*r/2
+		in.Disks = append(in.Disks, geom.C(geom.Pt(c.X+d*math.Cos(a), c.Y+d*math.Sin(a)), r))
+	}
+	return in
+}
+
+// TestWordBoundariesMatchReference compares Solve and local search from a
+// random cover with the reference on candidate counts at either side of
+// one and two 64-bit words, with disk counts of at most one word and of
+// more than one, where the disk→candidate index and the candidate sets
+// built from it must mask their last word exactly.
+func TestWordBoundariesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, nC := range []int{63, 64, 65, 127, 128, 129} {
+		for _, nD := range []int{20 + rng.Intn(45), 65 + rng.Intn(16)} {
+			for rep := 0; rep < 2; rep++ {
+				in := wordField(rng, nD, nC)
+				name := fmt.Sprintf("%d disks, %d candidates", nD, nC)
+				requireSameAsReference(t, name, in)
+				requireSameSearchAsReference(t, name, in, randomCover(rng, in))
 			}
 		}
 	}

@@ -34,8 +34,8 @@ type Instance struct {
 
 // Options tune Solve.
 type Options struct {
-	// LocalSearch enables the improvement phase (on by default via Solve's
-	// documented behaviour when using DefaultOptions).
+	// LocalSearch enables the improvement phase. The zero Options leaves it
+	// off; DefaultOptions turns it on.
 	LocalSearch bool
 	// MaxSwap bounds the swap size q in (q -> q-1) local moves; 0 means 3.
 	MaxSwap int
@@ -71,13 +71,24 @@ type Solution struct {
 	Rounds int
 }
 
-// bitset is a fixed-capacity set of disk indices.
+// bitset is a fixed-capacity set of disk or candidate indices.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
+func (b bitset) unset(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// first returns the lowest member of b, or -1 when b is empty.
+func (b bitset) first() int {
+	for w, x := range b {
+		if x != 0 {
+			return w*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
 
 func (b bitset) orInto(o bitset) {
 	for i := range b {
@@ -343,37 +354,63 @@ func greedy(hit []bitset, nD int) []int {
 	return chosen
 }
 
-// search is the local-search state of one Solve call. Its scratch bitsets
-// and the useful slice are allocated once, so trying a move allocates
-// nothing. Zones are solved concurrently, so it is never shared.
+// search is the local-search state of one Solve call. Its tables, scratch
+// bitsets and the useful slice are allocated once, sized by the starting
+// cover (moves only shrink it), so trying a move allocates nothing. Zones
+// are solved concurrently, so it is never shared.
 //
 // Every move is tested against the exclusive set need: the disks that no
 // kept point hits, i.e. the disks only the removed points hit. Since chosen
 // is always a full cover, a replacement restores the cover iff it hits all
-// of need.
+// of need. The candidates that hit some disk of need, or all of them, are
+// word ORs or ANDs over byDisk, the transpose of hit.
 type search struct {
-	hit    []bitset
+	hit []bitset
+	// byDisk[d] is the set of candidates that hit disk d.
+	byDisk []bitset
 	chosen []int
 	// once, twice and thrice hold the disks that exactly one, two and
 	// three chosen points hit. replace recounts them whenever chosen
 	// changes, so every move reads current data.
 	once, twice, thrice bitset
 	need, needA         bitset
-	useful              []int
+	// cands is a scratch set of candidates.
+	cands  bitset
+	useful []int
+	// reach[p] is the set of candidates that hit some disk only the
+	// chosen point at position p hits; compat[p*len(reach)+q] is swap32's
+	// pair test. pairTable fills both for the current chosen points.
+	reach  []bitset
+	compat []bool
 }
 
 func newSearch(hit []bitset, nD int, chosen []int) *search {
-	w := (nD + 63) / 64
-	flat := make(bitset, 5*w)
+	w, wc, n := (nD+63)/64, (len(hit)+63)/64, len(chosen)
+	flat := make(bitset, 5*w+(nD+n+1)*wc)
+	sets := make([]bitset, nD+n)
+	for i := range sets {
+		sets[i] = flat[5*w+i*wc : 5*w+(i+1)*wc : 5*w+(i+1)*wc]
+	}
 	s := &search{
 		hit:    hit,
+		byDisk: sets[:nD],
 		chosen: chosen,
 		once:   flat[0*w : 1*w : 1*w],
 		twice:  flat[1*w : 2*w : 2*w],
 		thrice: flat[2*w : 3*w : 3*w],
 		need:   flat[3*w : 4*w : 4*w],
 		needA:  flat[4*w : 5*w : 5*w],
+		cands:  flat[len(flat)-wc:],
 		useful: make([]int, 0, len(hit)),
+		reach:  sets[nD:],
+		compat: make([]bool, n*n),
+	}
+	for c, h := range hit {
+		for i, x := range h {
+			for ; x != 0; x &= x - 1 {
+				s.byDisk[i*64+bits.TrailingZeros64(x)].set(c)
+			}
+		}
 	}
 	s.count()
 	return s
@@ -437,8 +474,9 @@ func (s *search) removeRedundant() bool {
 }
 
 // swap21 tries to replace a pair of chosen points with a single candidate
-// (2 -> 1 swaps): candidate c succeeds iff hit[c] ⊇ need. Returns true on
-// the first successful swap per sweep.
+// (2 -> 1 swaps): candidate c succeeds iff hit[c] ⊇ need, so the lowest
+// candidate outside the pair that hits every disk of need wins. Returns true
+// on the first successful swap per sweep.
 func (s *search) swap21() bool {
 	ch := s.chosen
 	for i := 0; i < len(ch); i++ {
@@ -448,14 +486,12 @@ func (s *search) swap21() bool {
 			for w := range s.need {
 				s.need[w] = s.once[w]&(x[w]|y[w]) | s.twice[w]&x[w]&y[w]
 			}
-			for c, h := range s.hit {
-				if c == ch[i] || c == ch[j] {
-					continue
-				}
-				if h.containsAll(s.need) {
-					s.replace(i, j, -1, c)
-					return true
-				}
+			s.hitAll(s.cands, s.need)
+			s.cands.unset(ch[i])
+			s.cands.unset(ch[j])
+			if c := s.cands.first(); c >= 0 {
+				s.replace(i, j, -1, c)
+				return true
 			}
 		}
 	}
@@ -464,19 +500,26 @@ func (s *search) swap21() bool {
 
 // swap32 tries to replace a triple of chosen points with two candidates
 // (3 -> 2 swaps). To stay polynomial it only pairs useful candidates, those
-// hitting some disk of need; a triple with an empty need has none. The pair
-// (a, b) succeeds iff hit[b] ⊇ need \ hit[a], and a alone (3 -> 1) iff
-// hit[a] ⊇ need.
+// hitting some disk of need, in ascending order; a triple with an empty
+// need has none. The pair (a, b) succeeds iff hit[b] ⊇ need \ hit[a], and
+// a alone (3 -> 1) iff hit[a] ⊇ need. Triples without a compatible pair
+// (see pairTable) cannot succeed and are skipped.
 func (s *search) swap32() bool {
 	ch := s.chosen
 	if len(ch) < 3 {
 		return false
 	}
+	s.pairTable()
+	stride := len(s.reach)
 	for i := 0; i < len(ch); i++ {
 		x := s.hit[ch[i]]
 		for j := i + 1; j < len(ch); j++ {
 			y := s.hit[ch[j]]
+			ij := s.compat[i*stride+j]
 			for k := j + 1; k < len(ch); k++ {
+				if !ij && !s.compat[i*stride+k] && !s.compat[j*stride+k] {
+					continue
+				}
 				z := s.hit[ch[k]]
 				var nonEmpty uint64
 				for w := range s.need {
@@ -488,13 +531,14 @@ func (s *search) swap32() bool {
 				if nonEmpty == 0 {
 					continue
 				}
+				s.hitAny(s.cands, s.need)
+				s.cands.unset(ch[i])
+				s.cands.unset(ch[j])
+				s.cands.unset(ch[k])
 				useful := s.useful[:0]
-				for c, h := range s.hit {
-					if c == ch[i] || c == ch[j] || c == ch[k] {
-						continue
-					}
-					if h.meets(s.need) {
-						useful = append(useful, c)
+				for w, m := range s.cands {
+					for ; m != 0; m &= m - 1 {
+						useful = append(useful, w*64+bits.TrailingZeros64(m))
 					}
 				}
 				for a, ca := range useful {
@@ -520,6 +564,64 @@ func (s *search) swap32() bool {
 		}
 	}
 	return false
+}
+
+// pairTable fills reach and compat for the current chosen points. A 3 -> 1
+// or 3 -> 2 swap of p, q and r must hit, with at most two candidates, every
+// disk that only one of them hits. If each of the three hits such a disk,
+// then by pigeonhole one candidate hits such disks of two of them, p and q
+// say, and so lies in reach[p] ∩ reach[q]. The pair is compatible when that
+// intersection is non-empty or when p or q hits no such disk (an empty
+// reach: a point with such a disk reaches at least itself). A triple none
+// of whose pairs is compatible has no swap.
+func (s *search) pairTable() {
+	for p, c := range s.chosen {
+		for w := range s.needA {
+			s.needA[w] = s.once[w] & s.hit[c][w]
+		}
+		s.hitAny(s.reach[p], s.needA)
+	}
+	stride := len(s.reach)
+	for p := range s.chosen {
+		rp := s.reach[p]
+		for q := p + 1; q < len(s.chosen); q++ {
+			rq := s.reach[q]
+			s.compat[p*stride+q] = rp.first() < 0 || rq.first() < 0 || rp.meets(rq)
+		}
+	}
+}
+
+// hitAny sets dst to the candidates that hit some disk of ds.
+func (s *search) hitAny(dst, ds bitset) {
+	clear(dst)
+	for i, m := range ds {
+		for ; m != 0; m &= m - 1 {
+			dst.orInto(s.byDisk[i*64+bits.TrailingZeros64(m)])
+		}
+	}
+}
+
+// hitAll sets dst to the candidates that hit every disk of ds: all of them
+// when ds is empty.
+func (s *search) hitAll(dst, ds bitset) {
+	for w := range dst {
+		dst[w] = ^uint64(0)
+	}
+	if r := len(s.hit) % 64; r != 0 {
+		dst[len(dst)-1] = 1<<uint(r) - 1
+	}
+	for i, m := range ds {
+		for ; m != 0; m &= m - 1 {
+			var left uint64
+			for w, o := range s.byDisk[i*64+bits.TrailingZeros64(m)] {
+				dst[w] &= o
+				left |= dst[w]
+			}
+			if left == 0 {
+				return
+			}
+		}
+	}
 }
 
 // replace drops the chosen points at positions i, j and k (-1 for none) in

@@ -3,6 +3,7 @@ package hitting
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +154,34 @@ func TestSwap21Improvement(t *testing.T) {
 	}
 	if !in.Verify(sol.Chosen) {
 		t.Error("solution infeasible")
+	}
+}
+
+// TestSwap21MatchesReferenceWithRedundantPoints calls swap21 on chosen
+// points that removeRedundant would have pruned first, so a pair can have an
+// empty need (then the lowest candidate outside the pair wins) or a need no
+// candidate outside the pair hits. swap21 must take the reference's swap.
+func TestSwap21MatchesReferenceWithRedundantPoints(t *testing.T) {
+	// Candidates 0 and 1 hit disk 0, 2 hits disk 1, and 3 hits both.
+	four := []bitset{{1}, {1}, {2}, {3}}
+	cases := []struct {
+		hit    []bitset
+		nD     int
+		chosen []int
+	}{
+		{four, 2, []int{0, 1, 3}},
+		{four, 2, []int{3, 0, 1}},
+		{four, 2, []int{0, 1, 2}},
+		{[]bitset{{1}, {1}}, 1, []int{0, 1}},
+	}
+	for _, tc := range cases {
+		s := newSearch(tc.hit, tc.nD, append([]int(nil), tc.chosen...))
+		got := s.swap21()
+		want := append([]int(nil), tc.chosen...)
+		wantOK := refSwap21(tc.hit, tc.nD, &want)
+		if got != wantOK || !reflect.DeepEqual(s.chosen, want) {
+			t.Errorf("from %v: got %v %v, reference %v %v", tc.chosen, got, s.chosen, wantOK, want)
+		}
 	}
 }
 
