@@ -189,6 +189,7 @@ func BenchmarkMBMC30(b *testing.B) {
 	if err != nil || !cover.Feasible {
 		b.Fatal("coverage failed")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := upper.MBMC(context.Background(), sc, cover); err != nil {
@@ -203,6 +204,7 @@ func BenchmarkPRO30(b *testing.B) {
 	if err != nil || !cover.Feasible {
 		b.Fatal("coverage failed")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lower.PRO(context.Background(), sc, cover, nil); err != nil {

@@ -94,6 +94,12 @@ go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
 echo "== go test -run MatchesReference ./internal/hitting/"
 go test -count=1 -run MatchesReference -timeout 10m ./internal/hitting/
 
+# SAG micro-benchmarks, one iteration each: EXPERIMENTS.md cites them, so
+# a benchmark that panics or no longer compiles fails the gate instead of
+# rotting until the next measurement.
+echo "== go test -run '^\$' -bench 'SAMC30|MBMC30|PRO30|ZonePartition|HittingSet' -benchtime 1x ."
+go test -count=1 -run '^$' -bench 'SAMC30|MBMC30|PRO30|ZonePartition|HittingSet' -benchtime 1x .
+
 # Incremental-equivalence gate: a mutation storm of every delta kind (add,
 # remove, move and traffic-change subscribers; add and remove base stations)
 # where each incremental solve through warmed zone-level stores must be

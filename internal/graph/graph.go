@@ -31,6 +31,22 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
+// NewReserved returns a graph with n isolated vertices whose adjacency
+// lists each have room for deg edges, all cut from one backing array. A
+// caller that knows the degrees in advance (n-1 in a complete graph)
+// saves the regrowth of every list; a list that outgrows deg still grows.
+func NewReserved(n, deg int) *Graph {
+	g := New(n)
+	if deg <= 0 {
+		return g
+	}
+	backing := make([]Edge, g.n*deg)
+	for u := range g.adj {
+		g.adj[u] = backing[u*deg : u*deg : (u+1)*deg]
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 

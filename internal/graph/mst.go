@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -64,18 +63,51 @@ type pqItem struct {
 	w    float64
 }
 
+// prioQueue is a binary min-heap on w. push and pop repeat
+// container/heap's Push and Pop step for step (same comparisons, same
+// swaps), so equal weights leave the heap in the same order and PrimMST
+// picks the same tree among equal-weight ones.
 type prioQueue []pqItem
 
-func (q prioQueue) Len() int            { return len(q) }
-func (q prioQueue) Less(i, j int) bool  { return q[i].w < q[j].w }
-func (q prioQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *prioQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *prioQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+// push adds it and sifts it up (container/heap's up).
+func (q *prioQueue) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].w < h[i].w) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop swaps the root with the last entry, sifts the new root down over
+// the rest (container/heap's down) and removes the last entry.
+func (q *prioQueue) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].w < h[j1].w {
+			j = j2 // right child
+		}
+		if !(h[j].w < h[i].w) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // PrimMST computes a minimum spanning tree of the component containing root
@@ -94,9 +126,16 @@ func (g *Graph) PrimMST(root int) (*MSTResult, error) {
 		res.Parent[i] = -1
 	}
 	inTree := make([]bool, g.n)
-	pq := &prioQueue{{v: root, from: -1, w: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	// Each edge is pushed at most once, from whichever endpoint joins the
+	// tree first, so the heap never outgrows edges+1 entries.
+	edges := 0
+	for _, a := range g.adj {
+		edges += len(a)
+	}
+	pq := make(prioQueue, 1, edges/2+1)
+	pq[0] = pqItem{v: root, from: -1, w: 0}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if inTree[it.v] {
 			continue
 		}
@@ -108,7 +147,7 @@ func (g *Graph) PrimMST(root int) (*MSTResult, error) {
 		}
 		for _, e := range g.adj[it.v] {
 			if !inTree[e.V] {
-				heap.Push(pq, pqItem{v: e.V, from: it.v, w: e.W})
+				pq.push(pqItem{v: e.V, from: it.v, w: e.W})
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func PRO(cctx context.Context, sc *scenario.Scenario, res *Result, cache ZonePow
 	for _, p := range powers {
 		alloc.Total += p
 	}
-	if err := VerifyPower(sc, res, powers); err != nil {
+	if err := ctx.verify(powers); err != nil {
 		return nil, fmt.Errorf("lower: PRO: produced invalid allocation: %w", err)
 	}
 	return alloc, nil
@@ -323,8 +323,8 @@ func (ctx *powerContext) proBlock(cctx context.Context, lo, hi int, powers []flo
 // SNR-feasible at PMax. Written as the paper states it, the rows mix
 // received powers and gains many orders of magnitude apart, and the
 // simplex returned "optimal" points that broke the coverage rows or the
-// power bounds. The answer is checked with VerifyPower before it is
-// returned.
+// power bounds. The answer is checked with VerifyPower's test, on the
+// gain table the LP was built from, before it is returned.
 func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*PowerAllocation, error) {
 	if cctx == nil {
 		cctx = context.Background()
@@ -376,7 +376,7 @@ func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*Po
 		alloc.Powers[i] = ctx.pmin[i] + sol.X[i]
 		alloc.Total += alloc.Powers[i]
 	}
-	if err := VerifyPower(sc, res, alloc.Powers); err != nil {
+	if err := ctx.verify(alloc.Powers); err != nil {
 		return nil, fmt.Errorf("lower: optimal power: produced invalid allocation: %w", err)
 	}
 	return alloc, nil
@@ -384,12 +384,24 @@ func OptimalPower(cctx context.Context, sc *scenario.Scenario, res *Result) (*Po
 
 // VerifyPower checks that powers satisfy every subscriber's coverage
 // (received power) and SNR constraints under the zone-independence
-// assumption. A small relative tolerance absorbs float rounding.
+// assumption. A small relative tolerance absorbs float rounding. It
+// recomputes everything from scratch: the coverage check and the gain
+// table are rebuilt from sc and res, so it shares no state with the code
+// that produced powers.
 func VerifyPower(sc *scenario.Scenario, res *Result, powers []float64) error {
 	ctx, err := newPowerContext(sc, res)
 	if err != nil {
 		return err
 	}
+	return ctx.verify(powers)
+}
+
+// verify is VerifyPower's check on a context already built for the same
+// scenario and result. PRO and OptimalPower check their own answers with
+// it: they never write to sc, res or the gain table, so rebuilding them
+// would only repeat the same computation.
+func (ctx *powerContext) verify(powers []float64) error {
+	sc, res := ctx.sc, ctx.res
 	if len(powers) != len(res.Relays) {
 		return fmt.Errorf("lower: power vector has %d entries for %d relays", len(powers), len(res.Relays))
 	}

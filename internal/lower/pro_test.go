@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,4 +279,85 @@ func TestOptimalPowerVerifies(t *testing.T) {
 			t.Errorf("%s: LPQC optimum %v above PRO %v", c.name, opt.Total, pro.Total)
 		}
 	}
+}
+
+// TestPROCheckMatchesVerifyPower perturbs PRO's answers on seeded SAMC
+// placements and requires the check PRO runs on its own power context to
+// give the same verdict, with the same text, as VerifyPower rebuilding
+// everything from scratch. One context serves every perturbation of a
+// field, so a check that wrote to it would drift from VerifyPower.
+func TestPROCheckMatchesVerifyPower(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(2))
+	var demand, sir, bounds int
+	for seed := int64(1); seed <= 8; seed++ {
+		sc := testScenario(t, 500, 25, seed)
+		samc, err := SAMC(ctx, sc, SAMCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict := *sc
+		strict.SNRThresholdDB = -9
+		for _, c := range []struct {
+			sc  *scenario.Scenario
+			res *Result
+		}{{sc, samc}, {&strict, relayPerSubscriber(t, sc, rng)}} {
+			if !c.res.Feasible {
+				continue
+			}
+			pro, err := PRO(ctx, c.sc, c.res, nil)
+			if err != nil {
+				continue // no valid allocation exists; TestPROMatchesGlobalSweep covers it
+			}
+			pctx := mustPowerContext(t, c.sc, c.res)
+			check := func(label string, powers []float64) error {
+				t.Helper()
+				got, want := pctx.verify(powers), VerifyPower(c.sc, c.res, powers)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d %s: verify says %v, VerifyPower says %v", seed, label, got, want)
+				}
+				return got
+			}
+			if err := check("PRO", pro.Powers); err != nil {
+				t.Fatalf("seed %d: PRO's allocation rejected: %v", seed, err)
+			}
+			n := len(pro.Powers)
+			for i := 0; i < n; i++ {
+				// One relay below its coverage power Pc.
+				p := append([]float64(nil), pro.Powers...)
+				p[i] = pctx.pmin[i] * 0.99
+				if err := check(fmt.Sprintf("relay %d below Pc", i), p); err != nil {
+					if !strings.Contains(err.Error(), "below demand") {
+						t.Fatalf("seed %d: relay %d at 0.99 Pc: %v", seed, i, err)
+					}
+					demand++
+				} else if pctx.pmin[i] > 0 {
+					t.Fatalf("seed %d: relay %d at 0.99 Pc accepted", seed, i)
+				}
+				// One interferer back at PMax: its neighbours' SNR may break.
+				p = append(p[:0], pro.Powers...)
+				p[i] = c.sc.PMax
+				if err := check(fmt.Sprintf("relay %d at PMax", i), p); err != nil {
+					if !strings.Contains(err.Error(), "SIR") {
+						t.Fatalf("seed %d: relay %d at PMax: %v", seed, i, err)
+					}
+					sir++
+				}
+				// One relay above PMax.
+				p[i] = c.sc.PMax * 1.01
+				if err := check(fmt.Sprintf("relay %d above PMax", i), p); err != nil {
+					bounds++
+				} else {
+					t.Fatalf("seed %d: relay %d above PMax accepted", seed, i)
+				}
+			}
+			if check("short vector", pro.Powers[:n-1]) == nil {
+				t.Fatalf("seed %d: short power vector accepted", seed)
+			}
+		}
+	}
+	if demand == 0 || sir == 0 || bounds == 0 {
+		t.Fatalf("rejections: %d below Pc, %d from a raised interferer, %d above PMax; want each > 0", demand, sir, bounds)
+	}
+	t.Logf("rejections: %d below Pc, %d from a raised interferer, %d above PMax", demand, sir, bounds)
 }

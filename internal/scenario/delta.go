@@ -117,10 +117,7 @@ func (d *Delta) Validate() error {
 			if op.Pos == nil {
 				return bad("missing pos")
 			}
-			if err := finite("pos.x", op.Pos.X); err != nil {
-				return bad(err.Error())
-			}
-			if err := finite("pos.y", op.Pos.Y); err != nil {
+			if err := firstInvalid("", 0, check{"pos.x", op.Pos.X, false}, check{"pos.y", op.Pos.Y, false}); err != nil {
 				return bad(err.Error())
 			}
 			return nil
@@ -130,10 +127,7 @@ func (d *Delta) Validate() error {
 			if err := needPos(); err != nil {
 				return err
 			}
-			if err := positive("dist_req", op.DistReq); err != nil {
-				return bad(err.Error())
-			}
-			if err := finite("min_rx_power", op.MinRxPower); err != nil {
+			if err := firstInvalid("", 0, check{"dist_req", op.DistReq, true}, check{"min_rx_power", op.MinRxPower, false}); err != nil {
 				return bad(err.Error())
 			}
 			if op.MinRxPower < 0 {
@@ -148,12 +142,12 @@ func (d *Delta) Validate() error {
 				return bad("traffic_ss needs dist_req and/or min_rx_power")
 			}
 			if op.DistReq != 0 {
-				if err := positive("dist_req", op.DistReq); err != nil {
+				if err := firstInvalid("", 0, check{"dist_req", op.DistReq, true}); err != nil {
 					return bad(err.Error())
 				}
 			}
 			if op.MinRxPower != 0 {
-				if err := positive("min_rx_power", op.MinRxPower); err != nil {
+				if err := firstInvalid("", 0, check{"min_rx_power", op.MinRxPower, true}); err != nil {
 					return bad(err.Error())
 				}
 			}

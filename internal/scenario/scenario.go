@@ -68,21 +68,33 @@ func (e *ValueError) Error() string {
 // Unwrap exposes the category sentinel to errors.Is.
 func (e *ValueError) Unwrap() error { return e.Err }
 
-// finite returns a ValueError when v is NaN or infinite.
-func finite(field string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return &ValueError{Field: field, Value: v, Err: ErrNonFinite}
-	}
-	return nil
+// check is one numeric field to test: finite always, and strictly
+// positive when pos is set.
+type check struct {
+	name string
+	v    float64
+	pos  bool
 }
 
-// positive returns a ValueError when v is non-finite or <= 0.
-func positive(field string, v float64) error {
-	if err := finite(field, v); err != nil {
-		return err
-	}
-	if v <= 0 {
-		return &ValueError{Field: field, Value: v, Err: ErrNonPositive}
+// firstInvalid returns a *ValueError for the first failing check, or nil.
+// With kind non-empty the field path is kind[i].name. The path is built
+// only once a check has failed, so a valid scenario formats nothing.
+func firstInvalid(kind string, i int, checks ...check) error {
+	for _, c := range checks {
+		var err error
+		switch {
+		case math.IsNaN(c.v) || math.IsInf(c.v, 0):
+			err = ErrNonFinite
+		case c.pos && c.v <= 0:
+			err = ErrNonPositive
+		default:
+			continue
+		}
+		field := c.name
+		if kind != "" {
+			field = fmt.Sprintf("%s[%d].%s", kind, i, c.name)
+		}
+		return &ValueError{Field: field, Value: c.v, Err: err}
 	}
 	return nil
 }
@@ -194,20 +206,18 @@ func (sc *Scenario) Validate() error {
 	if err := sc.Model.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	for _, check := range []error{
-		finite("field.min.x", sc.Field.Min.X),
-		finite("field.min.y", sc.Field.Min.Y),
-		finite("field.max.x", sc.Field.Max.X),
-		finite("field.max.y", sc.Field.Max.Y),
-		positive("field.width", sc.Field.Width()),
-		positive("field.height", sc.Field.Height()),
-		positive("p_max", sc.PMax),
-		positive("n_max", sc.NMax),
-		finite("snr_threshold_db", sc.SNRThresholdDB),
-	} {
-		if check != nil {
-			return check
-		}
+	if err := firstInvalid("", 0,
+		check{"field.min.x", sc.Field.Min.X, false},
+		check{"field.min.y", sc.Field.Min.Y, false},
+		check{"field.max.x", sc.Field.Max.X, false},
+		check{"field.max.y", sc.Field.Max.Y, false},
+		check{"field.width", sc.Field.Width(), true},
+		check{"field.height", sc.Field.Height(), true},
+		check{"p_max", sc.PMax, true},
+		check{"n_max", sc.NMax, true},
+		check{"snr_threshold_db", sc.SNRThresholdDB, false},
+	); err != nil {
+		return err
 	}
 	if len(sc.Subscribers) == 0 {
 		return errors.New("scenario: no subscribers")
@@ -218,15 +228,13 @@ func (sc *Scenario) Validate() error {
 	seen := make(map[int]bool, len(sc.Subscribers))
 	atPos := make(map[geom.Point]int, len(sc.Subscribers))
 	for i, s := range sc.Subscribers {
-		for _, check := range []error{
-			finite(fmt.Sprintf("subscriber[%d].pos.x", i), s.Pos.X),
-			finite(fmt.Sprintf("subscriber[%d].pos.y", i), s.Pos.Y),
-			positive(fmt.Sprintf("subscriber[%d].dist_req", i), s.DistReq),
-			finite(fmt.Sprintf("subscriber[%d].min_rx_power", i), s.MinRxPower),
-		} {
-			if check != nil {
-				return check
-			}
+		if err := firstInvalid("subscriber", i,
+			check{"pos.x", s.Pos.X, false},
+			check{"pos.y", s.Pos.Y, false},
+			check{"dist_req", s.DistReq, true},
+			check{"min_rx_power", s.MinRxPower, false},
+		); err != nil {
+			return err
 		}
 		if s.MinRxPower < 0 {
 			return fmt.Errorf("scenario: subscriber %d has negative MinRxPower %v", s.ID, s.MinRxPower)
@@ -243,13 +251,11 @@ func (sc *Scenario) Validate() error {
 	seenBS := make(map[int]bool, len(sc.BaseStations))
 	atPosBS := make(map[geom.Point]int, len(sc.BaseStations))
 	for i, b := range sc.BaseStations {
-		for _, check := range []error{
-			finite(fmt.Sprintf("base_station[%d].pos.x", i), b.Pos.X),
-			finite(fmt.Sprintf("base_station[%d].pos.y", i), b.Pos.Y),
-		} {
-			if check != nil {
-				return check
-			}
+		if err := firstInvalid("base_station", i,
+			check{"pos.x", b.Pos.X, false},
+			check{"pos.y", b.Pos.Y, false},
+		); err != nil {
+			return err
 		}
 		if seenBS[b.ID] {
 			return fmt.Errorf("scenario: duplicate base station id %d", b.ID)

@@ -155,7 +155,8 @@ func buildTree(ctx context.Context, sc *scenario.Scenario, cover *lower.Result, 
 		return w
 	}
 	// Vertices: coverage relays 0..m-1, virtual root m (all base stations).
-	g := graph.New(m + 1)
+	// The graph is complete, so every vertex has degree m.
+	g := graph.NewReserved(m+1, m)
 	root := m
 	nearestBS := make([]int, m)
 	for i, relay := range cover.Relays {
