@@ -54,18 +54,25 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # end-to-end gates are ordinary tests: a byte-identical cache hit with the
 # trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,
 # TestResultDocCarriesTrace, TestMetricsPrometheusHistograms), the pinned
-# sagmetrics/7 key order, a seeded shed storm that sheds the same requests
-# on two fresh servers with zero solver work for shed jobs
-# (TestForcedShedIsTypedCountedAndA503), /healthz under a delay storm
-# (TestHealthzLiveUnderDelayStorm), bit-rotted journal quarantine
-# (TestJournalCorruptRecordQuarantined), a grid batch stream matching
-# individual solves (TestBatchGridStreamMatchesIndividualSolves), batch-item
-# sheds and cache hits leaving the same flight records and log lines as
-# /v1/solve (TestBatchItemShedBatchSurvives), and a live progress stream,
-# flight record, dump and JSON log line (TestProgressStreamLiveJob,
+# sagmetrics/8 key order, a tight-deadline job behind a backlog answered
+# degraded and uncached (TestTightDeadlineBehindBacklogAnsweredDegraded),
+# queue-full refusals at zero solver cost with accepted answers equal to an
+# unloaded server's (TestAnswersUnderStormMatchUnloaded), /healthz under a
+# delay storm (TestHealthzLiveUnderDelayStorm), bit-rotted journal
+# quarantine (TestJournalCorruptRecordQuarantined), a grid batch stream
+# matching individual solves (TestBatchGridStreamMatchesIndividualSolves),
+# batch-item cache hits leaving the same flight records and log lines as
+# /v1/solve (TestBatchItemCacheHitLeavesSolveRecords), and a live progress
+# stream, flight record, dump and JSON log line (TestProgressStreamLiveJob,
 # TestFlightRecordAfterJob).
 echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
+
+# Overload replay, one iteration per phase (~2 min): EXPERIMENTS.md cites
+# BenchmarkOverloadReplay, so a panic or b.Fatal in it fails the gate
+# instead of rotting until the next measurement.
+echo "== go test -run '^\$' -bench OverloadReplay -benchtime 1x ./internal/serve/"
+go test -count=1 -run '^$' -bench OverloadReplay -benchtime 1x -timeout 20m ./internal/serve/
 
 # Resilience gate. The chaos suite (build-tagged so it never runs by
 # accident) arms every registered fault-injection site with every failure

@@ -2,88 +2,104 @@ package admit
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
 	"sagrelay/internal/fault"
 )
 
-func TestSizeClassBuckets(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{0, 0}, {1, 0}, {8, 0}, {9, 1}, {16, 1}, {18, 2}, {32, 2}, {64, 3}, {1000, 7},
+// allowed reports whether l admits client at now.
+func allowed(t *testing.T, l *RateLimiter, client string, now time.Time) bool {
+	t.Helper()
+	err := l.Allow(client, now)
+	if err == nil {
+		return true
 	}
-	for _, c := range cases {
-		if got := SizeClass(c.n); got != c.want {
-			t.Errorf("SizeClass(%d) = %d, want %d", c.n, got, c.want)
-		}
+	var rl *RateLimitError
+	if !errors.As(err, &rl) {
+		t.Fatalf("Allow(%q) = %v, want nil or *RateLimitError", client, err)
 	}
-}
-
-func TestCostModelColdThenWarm(t *testing.T) {
-	m := NewCostModel()
-	if _, _, ok := m.Estimate(0); ok {
-		t.Fatal("cold model claims an estimate")
-	}
-	m.Observe(0, 1.0)
-	m.Observe(0, 1.0)
-	if _, _, ok := m.Estimate(0); ok {
-		t.Fatalf("model with %d obs sheds before costMinSamples=%d", 2, costMinSamples)
-	}
-	m.Observe(0, 1.0)
-	est, mean, ok := m.Estimate(0)
-	if !ok || est != 1.0 || mean != 1.0 {
-		t.Fatalf("Estimate = (%v, %v, %v), want (1, 1, true)", est, mean, ok)
-	}
-	// An unseen class falls back to the overall mean.
-	est2, _, ok := m.Estimate(5)
-	if !ok || est2 != mean {
-		t.Fatalf("unseen class estimate %v, want overall mean %v", est2, mean)
-	}
-	// A slow class dominates its own estimate but only nudges the overall.
-	for i := 0; i < 5; i++ {
-		m.Observe(3, 10.0)
-	}
-	est3, mean3, _ := m.Estimate(3)
-	if est3 < 5.0 {
-		t.Fatalf("class-3 estimate %v should approach 10", est3)
-	}
-	if mean3 >= est3 {
-		t.Fatalf("overall mean %v should lag the slow class %v", mean3, est3)
-	}
+	return false
 }
 
 func TestRateLimiterBurstAndRefill(t *testing.T) {
-	l := NewRateLimiter(1.0, 2, 16)
+	l := NewRateLimiter(1.0, 2)
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
-		if _, ok := l.Allow("a", t0); !ok {
+		if !allowed(t, l, "a", t0) {
 			t.Fatalf("burst token %d denied", i)
 		}
 	}
-	retry, ok := l.Allow("a", t0)
-	if ok {
-		t.Fatal("third immediate request admitted past burst=2")
+	err := l.Allow("a", t0)
+	var rl *RateLimitError
+	if !errors.As(err, &rl) {
+		t.Fatalf("third immediate request returned %v, want *RateLimitError past burst=2", err)
 	}
-	if retry <= 0 || retry > time.Second {
-		t.Fatalf("retryAfter = %v, want (0, 1s]", retry)
+	if rl.Client != "a" || rl.RetryAfter <= 0 || rl.RetryAfter > time.Second {
+		t.Fatalf("RateLimitError = %+v, want client a and RetryAfter in (0, 1s]", rl)
 	}
 	// A different client has its own bucket.
-	if _, ok := l.Allow("b", t0); !ok {
+	if !allowed(t, l, "b", t0) {
 		t.Fatal("client b denied by client a's bucket")
 	}
 	// After a second, one token has accrued.
-	if _, ok := l.Allow("a", t0.Add(time.Second)); !ok {
+	if !allowed(t, l, "a", t0.Add(time.Second)) {
 		t.Fatal("refilled token denied")
 	}
-	if _, ok := l.Allow("a", t0.Add(time.Second)); ok {
+	if allowed(t, l, "a", t0.Add(time.Second)) {
 		t.Fatal("second token admitted after only one refill")
 	}
+	// The internal (empty) client is never limited.
+	for i := 0; i < 10; i++ {
+		if !allowed(t, l, "", t0) {
+			t.Fatal("internal (empty) client rate limited")
+		}
+	}
 	// rate <= 0 disables limiting.
-	off := NewRateLimiter(0, 1, 16)
+	off := NewRateLimiter(0, 1)
 	for i := 0; i < 100; i++ {
-		if _, ok := off.Allow("a", t0); !ok {
+		if !allowed(t, off, "a", t0) {
 			t.Fatal("disabled limiter denied a request")
 		}
+	}
+}
+
+// TestRateLimiterDerivedBurst: burst 0 takes the rate's whole part, and at
+// least one token.
+func TestRateLimiterDerivedBurst(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	for _, c := range []struct {
+		rate float64
+		want int
+	}{{0.001, 1}, {1, 1}, {3.7, 3}} {
+		l := NewRateLimiter(c.rate, 0)
+		got := 0
+		for allowed(t, l, "a", t0) {
+			got++
+		}
+		if got != c.want {
+			t.Errorf("rate %v, burst 0: %d immediate requests admitted, want %d", c.rate, got, c.want)
+		}
+	}
+}
+
+// TestRateLimiterBoundsClientTable: a scan of unique clients keeps at most
+// maxClients buckets, and an evicted client re-enters with a full bucket.
+func TestRateLimiterBoundsClientTable(t *testing.T) {
+	l := NewRateLimiter(0.001, 1)
+	t0 := time.Unix(1000, 0)
+	if !allowed(t, l, "first", t0) || allowed(t, l, "first", t0) {
+		t.Fatal("burst of 1 not enforced")
+	}
+	for i := 0; i < maxClients; i++ {
+		allowed(t, l, "scan-"+strconv.Itoa(i), t0)
+	}
+	if n := l.buckets.Len(); n != maxClients {
+		t.Errorf("bucket table holds %d clients, want %d", n, maxClients)
+	}
+	if !allowed(t, l, "first", t0) {
+		t.Error("evicted client did not re-enter with a full bucket")
 	}
 }
 
@@ -173,54 +189,6 @@ func TestBreakerSlidingWindowEvicts(t *testing.T) {
 	}
 }
 
-func TestControllerShedsWhenDeadlineTooTight(t *testing.T) {
-	c := New(Options{BreakerThreshold: 2})
-	// Warm the model: three one-second solves.
-	for i := 0; i < 3; i++ {
-		c.Finish(c.Begin(), Outcome{SizeClass: 0, Seconds: 1.0})
-	}
-	// Plenty of budget: admitted, with estimates attached.
-	d, err := c.Admit(0, 0, 2, 0, time.Minute)
-	if err != nil {
-		t.Fatalf("generous deadline shed: %v", err)
-	}
-	if d.EstSolve <= 0 {
-		t.Fatal("warm model returned no estimate")
-	}
-	// 10ms budget against a ~1s estimate: shed with a typed error.
-	_, err = c.Admit(0, 4, 2, 0, 10*time.Millisecond)
-	var shed *ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("tight deadline returned %v, want *ShedError", err)
-	}
-	if shed.RetryAfter <= 0 {
-		t.Fatal("ShedError carries no RetryAfter")
-	}
-	if shed.EstWait <= 0 {
-		t.Fatal("queued jobs contribute no estimated wait")
-	}
-	// The backlog drains across the workers: with the same model and queue
-	// depth, twice the workers halve the estimated wait.
-	d2, err := c.Admit(0, 4, 2, 0, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := c.Admit(0, 4, 4, 0, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d4.EstWait*2 != d2.EstWait {
-		t.Fatalf("EstWait with 4 workers = %v, want half of %v with 2", d4.EstWait, d2.EstWait)
-	}
-}
-
-func TestControllerColdModelAdmitsEverything(t *testing.T) {
-	c := New(Options{})
-	if _, err := c.Admit(3, 1000, 1, 0, time.Nanosecond); err != nil {
-		t.Fatalf("cold model shed a job: %v", err)
-	}
-}
-
 func TestControllerRateLimitTyped(t *testing.T) {
 	c := New(Options{Rate: 1, Burst: 1})
 	if err := c.AllowClient("k"); err != nil {
@@ -239,60 +207,44 @@ func TestControllerRateLimitTyped(t *testing.T) {
 	}
 }
 
-func TestForcedShedAndTripFaultSites(t *testing.T) {
-	if err := fault.EnableSpec("admit.shed=error:n=1", 1); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fault.Disable)
-	c := New(Options{})
-	_, err := c.Admit(0, 0, 1, 0, time.Minute)
-	var shed *ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("armed admit.shed returned %v, want *ShedError", err)
-	}
-	if _, err := c.Admit(0, 0, 1, 0, time.Minute); err != nil {
-		t.Fatalf("n=1 rule still firing: %v", err)
-	}
-
-	// Panic-kind rules are recovered into the forced decision.
-	if err := fault.EnableSpec("admit.shed=panic:n=1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(0, 0, 1, 0, time.Minute); !errors.As(err, &shed) {
-		t.Fatalf("panic-kind shed returned %v, want *ShedError", err)
-	}
-
+func TestForcedTripFaultSite(t *testing.T) {
 	// admit.breaker forces a deterministic trip at Finish.
 	if err := fault.EnableSpec("admit.breaker=error:n=1", 1); err != nil {
 		t.Fatal(err)
 	}
-	c.Finish(c.Begin(), Outcome{SizeClass: 0, Seconds: 0.01})
+	t.Cleanup(fault.Disable)
+	c := New(Options{})
+	c.Finish(c.Begin(), Outcome{})
 	if c.BreakerState() != int64(BreakerOpen) {
 		t.Fatalf("armed admit.breaker left state %d, want open", c.BreakerState())
 	}
 	if c.BreakerTrips() != 1 {
 		t.Fatalf("trips = %d, want 1", c.BreakerTrips())
 	}
+
+	// Panic-kind rules are recovered into the forced decision.
+	if err := fault.EnableSpec("admit.breaker=panic:n=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	c = New(Options{})
+	c.Finish(c.Begin(), Outcome{})
+	if c.BreakerState() != int64(BreakerOpen) {
+		t.Fatalf("panic-kind admit.breaker left state %d, want open", c.BreakerState())
+	}
 }
 
 func TestFinishIsIdempotent(t *testing.T) {
 	c := New(Options{})
 	g := c.Begin()
-	c.Finish(g, Outcome{Seconds: 0.1})
-	// Backstop call with a bad outcome: it must reach neither the breaker
-	// window nor the cost model.
-	c.Finish(g, Outcome{DeadlineMiss: true, Seconds: 100})
+	c.Finish(g, Outcome{})
+	// Backstop call with a bad outcome: it must not reach the breaker
+	// window.
+	c.Finish(g, Outcome{DeadlineMiss: true})
 	c.br.mu.Lock()
 	windowed, bad := c.br.count, c.br.bad
 	c.br.mu.Unlock()
 	if windowed != 1 || bad != 0 {
 		t.Fatalf("breaker window holds %d outcomes (%d bad) after double Finish, want 1 (0 bad)", windowed, bad)
-	}
-	c.cost.mu.Lock()
-	n, mean := c.cost.overall.n, c.cost.overall.mean
-	c.cost.mu.Unlock()
-	if n != 1 || mean != 0.1 {
-		t.Fatalf("cost model saw %d solves (mean %v) after double Finish, want 1 (0.1)", n, mean)
 	}
 	c.Finish(nil, Outcome{}) // nil grant no-op
 }

@@ -1,17 +1,33 @@
 package admit
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"sagrelay/internal/lru"
 )
 
+// maxClients bounds the limiter's per-client bucket table. An evicted client
+// re-enters with a full bucket, which errs toward admitting.
+const maxClients = 4096
+
+// RateLimitError is the typed rejection of a client that exhausted its
+// token bucket. The HTTP layer maps it to 429 with a Retry-After header.
+type RateLimitError struct {
+	Client     string
+	RetryAfter time.Duration
+}
+
+func (e *RateLimitError) Error() string {
+	return fmt.Sprintf("admit: client %s rate limited; retry in %v", e.Client, e.RetryAfter.Round(time.Millisecond))
+}
+
 // RateLimiter is a per-client token-bucket limiter: each client key owns a
 // bucket of burst tokens refilled at rate tokens/second, and one submission
 // costs one token. The bucket table is LRU-bounded so a scan of unique
-// client keys cannot grow it without bound; an evicted client re-enters
-// with a full bucket (erring toward admitting).
+// client keys cannot grow it without bound. All methods are safe for
+// concurrent use.
 type RateLimiter struct {
 	rate  float64
 	burst float64
@@ -26,10 +42,14 @@ type bucket struct {
 	last   time.Time
 }
 
-// NewRateLimiter builds a limiter holding at most maxClients buckets of
-// burst tokens each (both at least 1; Options.withDefaults supplies them);
-// rate <= 0 disables it (Allow always admits).
-func NewRateLimiter(rate float64, burst, maxClients int) *RateLimiter {
+// NewRateLimiter builds a limiter of rate requests/second per client with
+// buckets of burst tokens; burst <= 0 derives it from rate (at least 1
+// token, so a conforming client is never starved). rate <= 0 disables
+// limiting: Allow always admits.
+func NewRateLimiter(rate float64, burst int) *RateLimiter {
+	if burst <= 0 {
+		burst = max(int(rate), 1)
+	}
 	return &RateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
@@ -37,31 +57,30 @@ func NewRateLimiter(rate float64, burst, maxClients int) *RateLimiter {
 	}
 }
 
-// Allow spends one token from key's bucket at time now. When the bucket is
-// empty it returns ok=false and how long until the next token accrues. The
-// explicit now keeps the limiter deterministic under test.
-func (l *RateLimiter) Allow(key string, now time.Time) (retryAfter time.Duration, ok bool) {
-	if l == nil || l.rate <= 0 || key == "" {
-		return 0, true
+// Allow spends one token from client's bucket at time now, or returns a
+// *RateLimitError saying how long until the next token accrues. An empty
+// client (internal callers: journal replay, in-process Submit callers and
+// tests) is never limited. The explicit now keeps the limiter deterministic
+// under test.
+func (l *RateLimiter) Allow(client string, now time.Time) error {
+	if l.rate <= 0 || client == "" {
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b, found := l.buckets.Get(key)
+	b, found := l.buckets.Get(client)
 	if !found {
 		b = &bucket{tokens: l.burst, last: now}
-		l.buckets.Add(key, b)
+		l.buckets.Add(client, b)
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
+		b.tokens = min(b.tokens+dt*l.rate, l.burst)
 		b.last = now
 	}
 	if b.tokens >= 1 {
 		b.tokens--
-		return 0, true
+		return nil
 	}
 	need := (1 - b.tokens) / l.rate
-	return time.Duration(need * float64(time.Second)), false
+	return &RateLimitError{Client: client, RetryAfter: time.Duration(need * float64(time.Second))}
 }

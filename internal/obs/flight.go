@@ -10,10 +10,10 @@ import (
 )
 
 // FlightRecord is the retained postmortem evidence for one completed unit
-// of work (a solve job, a resolve, a shed request): identity, outcome,
-// timings, and an opaque Detail document the recording layer fills with
-// whatever it wants preserved (trace doc, progress curve, admission
-// estimates). Records are immutable once recorded.
+// of work (a solve job, a resolve): identity, outcome, timings, and an
+// opaque Detail document the recording layer fills with whatever it wants
+// preserved (trace doc, progress curve). Records are immutable once
+// recorded.
 type FlightRecord struct {
 	ID      string    `json:"id"`
 	Kind    string    `json:"kind"`
@@ -25,7 +25,7 @@ type FlightRecord struct {
 	QueueMS float64   `json:"queue_ms"`
 	WallMS  float64   `json:"wall_ms"`
 	// Bad marks records worth keeping longer: failures, cancellations,
-	// sheds, degraded answers. Bad records live in their own ring half, so
+	// degraded answers. Bad records live in their own ring half, so
 	// a burst of healthy traffic can never evict the evidence of the last
 	// incident.
 	Bad bool `json:"bad"`

@@ -35,9 +35,8 @@ var sitePoolTask = fault.Register("par.pool.task")
 // their own recover to settle it, because the pool cannot know what a
 // half-run task left behind.
 type Pool struct {
-	tasks   chan func()
-	workers int
-	wg      sync.WaitGroup
+	tasks chan func()
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	closed  bool
@@ -51,8 +50,8 @@ func NewPool(workers, depth int) *Pool {
 	if depth < 0 {
 		depth = 0
 	}
-	p := &Pool{tasks: make(chan func(), depth), workers: DefaultWorkers(workers)}
-	for w := 0; w < p.workers; w++ {
+	p := &Pool{tasks: make(chan func(), depth)}
+	for range DefaultWorkers(workers) {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -64,11 +63,9 @@ func NewPool(workers, depth int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker-goroutine count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Len returns the number of queued-but-not-yet-dispatched tasks; admission
-// control reads it as the queue depth behind its wait estimates.
+// Len returns the number of queued-but-not-yet-dispatched tasks: the
+// service's job_queue_depth gauge and the queue state of its overload
+// errors.
 func (p *Pool) Len() int { return len(p.tasks) }
 
 // Cap returns the task queue's capacity.

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +18,7 @@ import (
 )
 
 // distinctScenario generates a unique tiny instance per seed so repeated
-// admission-test submissions never collapse into cache hits (cache hits
-// bypass shedding by design).
+// submissions never collapse into cache hits.
 func distinctScenario(t *testing.T, seed int64) *scenario.Scenario {
 	t.Helper()
 	sc, err := scenario.Generate(scenario.GenConfig{
@@ -144,156 +142,116 @@ func decodeErrorEnvelope(t *testing.T, body io.Reader) errorEnvelope {
 	return doc
 }
 
-func TestForcedShedIsTypedCountedAndA503(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2})
-	armFault(t, "admit.shed=error:n=1")
-
-	_, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, 310)})
-	var shed *admit.ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("err = %v, want *admit.ShedError", err)
+// TestTightDeadlineBehindBacklogAnsweredDegraded: a job whose deadline is
+// shorter than the server's recent solve times, queued behind a running
+// job, is accepted. It starts before its deadline, the deadline cuts its
+// exact solve short, and the degrade ladder answers with the SAMC
+// heuristic: done, Degraded, and kept out of the cache.
+func TestTightDeadlineBehindBacklogAnsweredDegraded(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	// oversized is an IAC request only its deadline can stop: one zone of
+	// 48 subscribers and no node budget.
+	oversized := func(seed, timeoutMS int64) SolveRequest {
+		sc, err := scenario.Generate(scenario.GenConfig{
+			FieldSide: 900, NumSS: 48, NumBS: 2, SNRdB: -15, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		return SolveRequest{Scenario: sc, Options: SolveOptions{
+			Coverage: "IAC", MaxZoneSS: 64, MaxNodes: 1 << 30,
+			ZoneTimeoutMS: 600_000, TimeoutMS: timeoutMS,
+		}}
 	}
-	if !strings.Contains(shed.Reason, "fault injection") {
-		t.Errorf("Reason = %q, want a fault-injection marker", shed.Reason)
+	// Recent traffic: three solves, one after another, that each ran out a
+	// 600ms deadline. Then the backlog: a job with a 100ms deadline, still
+	// running or queued when the tight job arrives.
+	for i := int64(0); i < 3; i++ {
+		req := oversized(40+i, 600)
+		submitAndWait(t, s, req.Scenario, req.Options)
 	}
-	if got := s.MetricsSnapshot()["jobs_shed_total"]; got != 1 {
-		t.Errorf("jobs_shed_total = %d, want 1", got)
-	}
-
-	// The HTTP mapping: a shed is a 503 with Retry-After and the overload body.
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	armFault(t, "admit.shed=error:n=1")
-	body, _ := json.Marshal(SolveRequest{Scenario: distinctScenario(t, 311)})
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	ahead, err := s.Submit(oversized(43, 100))
 	if err != nil {
+		t.Fatalf("backlog job: %v", err)
+	}
+
+	// 500ms is shorter than every recent solve, yet longer than the 100ms
+	// job ahead of it: the job is worth starting.
+	job, err := s.Submit(oversized(50, 500))
+	if err != nil {
+		t.Fatalf("tight-deadline job refused: %v", err)
+	}
+	waitDone(t, ahead, 60*time.Second)
+	waitDone(t, job, 60*time.Second)
+	doc, state := job.resultBytes()
+	if state != StateDone {
+		t.Fatalf("tight-deadline job finished %v (err %q), want done via the degrade ladder", state, job.status().Error)
+	}
+	var res ResultDoc
+	if err := json.Unmarshal(doc, &res); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed POST = %d, want 503", resp.StatusCode)
+	if !res.Degraded || !strings.Contains(res.DegradedReason, "IAC -> SAMC") || !res.Feasible {
+		t.Fatalf("degraded = %v, reason %q, feasible %v; want a feasible SAMC fallback",
+			res.Degraded, res.DegradedReason, res.Feasible)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 shed response has no Retry-After header")
-	}
-	if doc := decodeErrorEnvelope(t, resp.Body); doc.Error.Code != CodeShed {
-		t.Errorf("error.code = %q, want shed", doc.Error.Code)
-	}
-
-	// A seeded shed storm is a function of (spec, seed, submission order),
-	// not of timing: two fresh servers shed exactly the same indices.
-	if first, second := shedStormFingerprint(t), shedStormFingerprint(t); first != second {
-		t.Errorf("shed pattern not deterministic: run 1 shed [%s], run 2 shed [%s]", first, second)
-	}
-
-	// Shed jobs never reach the solver, and once the storm lifts the same
-	// server answers exactly like an unloaded one (modulo the trace).
-	gac := SolveOptions{Coverage: "GAC"}
-	before := s.MetricsSnapshot()
-	armFault(t, "admit.shed=error:p=1")
-	for i := 0; i < 6; i++ {
-		_, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, int64(600+i)), Options: gac})
-		if !errors.As(err, &shed) {
-			t.Fatalf("submit %d under p=1 shedding: err = %v, want *admit.ShedError", i, err)
-		}
-	}
-	fault.Disable()
-	after := s.MetricsSnapshot()
-	for _, key := range []string{"bb_nodes_total", "solves"} {
-		if d := after[key] - before[key]; d != 0 {
-			t.Errorf("shed jobs moved %s by %d, want 0", key, d)
-		}
-	}
-	// The default pipeline has no wall-clock limits, so a loaded test host
-	// cannot degrade either answer.
-	stormed := submitAndWait(t, s, distinctScenario(t, 699), SolveOptions{})
-	unloaded := submitAndWait(t, newTestServer(t, Options{Workers: 2}), distinctScenario(t, 699), SolveOptions{})
-	a, stateA := stormed.resultBytes()
-	b, stateB := unloaded.resultBytes()
-	if stateA != StateDone || stateB != StateDone {
-		t.Fatalf("post-storm solves ended %v and %v, want done", stateA, stateB)
-	}
-	if !bytes.Equal(stripTrace(t, a), stripTrace(t, b)) {
-		t.Error("post-storm result differs from the unloaded server's")
+	if m := s.MetricsSnapshot(); m["cache_entries"] != 0 || m["jobs_degraded"] != 5 {
+		t.Errorf("cache_entries = %d, jobs_degraded = %d; want 0 and 5 (degraded answers are never cached)",
+			m["cache_entries"], m["jobs_degraded"])
 	}
 }
 
-// shedStormFingerprint runs a seeded p=0.4 admit.shed storm of 24 distinct
-// submissions on a fresh server, waits out the accepted jobs, and returns
-// the shed submission indices, e.g. "2,3,7,11".
-func shedStormFingerprint(t *testing.T) string {
-	t.Helper()
-	s := newTestServer(t, Options{Workers: 2})
-	armFault(t, "admit.shed=error:p=0.4")
-	defer fault.Disable()
-	var shed []string
-	var jobs []*Job
-	for i := 0; i < 24; i++ {
-		job, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, int64(500+i))})
-		var se *admit.ShedError
+// TestAnswersUnderStormMatchUnloaded: a delay storm on every job fills a
+// one-slot queue, so further submissions bounce with ErrQueueFull before
+// any solver work, while the jobs the server accepted — and a job submitted
+// once the storm lifts — answer exactly like an unloaded server, trace
+// aside. The default pipeline has no wall-clock limits, so a loaded test
+// host cannot degrade either side.
+func TestAnswersUnderStormMatchUnloaded(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	armFault(t, "serve.job=delay:d=300ms")
+	var accepted []*Job
+	scs := map[*Job]*scenario.Scenario{}
+	refused := 0
+	for i := 0; i < 6; i++ {
+		sc := distinctScenario(t, int64(600+i))
+		job, err := s.Submit(SolveRequest{Scenario: sc})
 		switch {
 		case err == nil:
-			jobs = append(jobs, job)
-		case errors.As(err, &se):
-			shed = append(shed, strconv.Itoa(i))
+			accepted = append(accepted, job)
+			scs[job] = sc
+		case errors.Is(err, ErrQueueFull):
+			refused++
 		default:
 			t.Fatalf("storm submit %d: %v", i, err)
 		}
 	}
-	if len(shed) == 0 || len(jobs) == 0 {
-		t.Fatalf("degenerate storm: %d shed, %d accepted", len(shed), len(jobs))
+	if refused == 0 || len(accepted) == 0 {
+		t.Fatalf("degenerate storm: %d accepted, %d refused", len(accepted), refused)
 	}
-	if got := s.MetricsSnapshot()["jobs_shed_total"]; got != int64(len(shed)) {
-		t.Errorf("jobs_shed_total = %d, want %d", got, len(shed))
-	}
-	for _, j := range jobs {
+	for _, j := range accepted {
 		waitDone(t, j, 60*time.Second)
 	}
-	return strings.Join(shed, ",")
-}
+	fault.Disable()
+	m := s.MetricsSnapshot()
+	if m["jobs_rejected"] != int64(refused) || m["solves"] != int64(len(accepted)) {
+		t.Errorf("jobs_rejected = %d, solves = %d; want %d refusals and one solve per accepted job",
+			m["jobs_rejected"], m["solves"], refused)
+	}
 
-func TestOrganicShedOnImpossibleDeadline(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2})
-
-	// Warm the cost model past its minimum sample count with real exact
-	// solves — GAC branch-and-bound always costs multiple milliseconds on
-	// this size, so the learned mean safely dwarfs the 1ms deadline below.
-	for i := 0; i < 3; i++ {
-		job, err := s.Submit(SolveRequest{
-			Scenario: distinctScenario(t, int64(320+i)),
-			Options:  SolveOptions{Coverage: "GAC"},
-		})
-		if err != nil {
-			t.Fatalf("warmup %d: %v", i, err)
+	after := submitAndWait(t, s, distinctScenario(t, 699), SolveOptions{})
+	scs[after] = distinctScenario(t, 699)
+	unloaded := newTestServer(t, Options{Workers: 1})
+	for _, j := range append(accepted, after) {
+		a, stateA := j.resultBytes()
+		b, stateB := submitAndWait(t, unloaded, scs[j], SolveOptions{}).resultBytes()
+		if stateA != StateDone || stateB != StateDone {
+			t.Fatalf("job %s ended %v, unloaded twin %v; want done", j.ID, stateA, stateB)
 		}
-		waitDone(t, job, 60*time.Second)
+		if !bytes.Equal(stripTrace(t, a), stripTrace(t, b)) {
+			t.Errorf("job %s answered differently from the unloaded server", j.ID)
+		}
 	}
-
-	// A 1ms deadline cannot cover any real solve of this size: shed at the
-	// door, with the estimates that justified the decision attached.
-	_, err := s.Submit(SolveRequest{
-		Scenario: distinctScenario(t, 330),
-		Options:  SolveOptions{Coverage: "GAC", TimeoutMS: 1},
-	})
-	var shed *admit.ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("err = %v, want *admit.ShedError", err)
-	}
-	if shed.EstSolve <= 0 {
-		t.Errorf("EstSolve = %v, want > 0", shed.EstSolve)
-	}
-	if shed.Deadline != time.Millisecond {
-		t.Errorf("Deadline = %v, want 1ms", shed.Deadline)
-	}
-	if shed.RetryAfter < time.Second {
-		t.Errorf("RetryAfter = %v, want >= 1s", shed.RetryAfter)
-	}
-	// A generous deadline on the same scenario sails through.
-	job, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, 330)})
-	if err != nil {
-		t.Fatalf("generous deadline rejected: %v", err)
-	}
-	waitDone(t, job, 60*time.Second)
 }
 
 // TestBreakerLifecycleEndToEnd drives the degrade circuit breaker through
@@ -343,7 +301,7 @@ func TestBreakerLifecycleEndToEnd(t *testing.T) {
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, series := range []string{"sag_breaker_state 1", "sag_breaker_trips_total 1", "sag_jobs_shed_total ", "sag_rate_limited_total "} {
+	for _, series := range []string{"sag_breaker_state 1", "sag_breaker_trips_total 1", "sag_rate_limited_total "} {
 		if !strings.Contains(string(prom), series) {
 			t.Errorf("prometheus exposition lacks %q", series)
 		}

@@ -13,8 +13,9 @@ import (
 // Error codes of the unified API error envelope. Every non-2xx JSON answer
 // from the service carries exactly one of these in error.code, so clients
 // branch on a stable machine-readable token instead of parsing messages or
-// mapping status codes themselves (two codes can share a status: shed and
-// shutting_down are both 503). The README's error-code table documents each.
+// mapping status codes themselves (two codes can share a status:
+// rate_limited and queue_full are both 429). The README's error-code table
+// documents each.
 const (
 	CodeBadRequest    = "bad_request"   // 400: malformed JSON, invalid scenario or options
 	CodeBadDelta      = "bad_delta"     // 400: malformed delta or unknown entity in /v1/resolve
@@ -22,7 +23,6 @@ const (
 	CodeNotFound      = "not_found"     // 404: unknown job, batch, or resolve base
 	CodeRateLimited   = "rate_limited"  // 429: per-client token bucket exhausted
 	CodeQueueFull     = "queue_full"    // 429: job queue backpressure
-	CodeShed          = "shed"          // 503: deadline-aware load shedding
 	CodeShuttingDown  = "shutting_down" // 503: graceful shutdown in progress
 	CodeUnprocessable = "unprocessable" // 422: job finished without a result document
 
@@ -41,7 +41,7 @@ type APIError struct {
 	// Message is the human-readable error text.
 	Message string `json:"message"`
 	// RetryAfterS suggests, in seconds, when a retry could succeed; only
-	// overload rejections (shed, rate_limited, queue_full, shutting_down)
+	// overload rejections (rate_limited, queue_full, shutting_down)
 	// set it, mirroring the Retry-After header at sub-second precision.
 	RetryAfterS float64 `json:"retry_after_s,omitempty"`
 	// Details carries code-specific structured context: queue_depth and
@@ -61,18 +61,12 @@ type errorEnvelope struct {
 // same error can never wear two codes on two endpoints.
 func apiError(err error) (int, APIError) {
 	var rl *admit.RateLimitError
-	var shed *admit.ShedError
 	var ve *scenario.ValueError
 	switch {
 	case errors.As(err, &rl):
 		return http.StatusTooManyRequests, APIError{
 			Code: CodeRateLimited, Message: err.Error(),
 			RetryAfterS: rl.RetryAfter.Seconds(),
-		}
-	case errors.As(err, &shed):
-		return http.StatusServiceUnavailable, APIError{
-			Code: CodeShed, Message: err.Error(),
-			RetryAfterS: shed.RetryAfter.Seconds(),
 		}
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, APIError{
@@ -102,7 +96,7 @@ func apiError(err error) (int, APIError) {
 // queue state and a Retry-After header.
 func isOverloadCode(code string) bool {
 	switch code {
-	case CodeRateLimited, CodeQueueFull, CodeShed, CodeShuttingDown:
+	case CodeRateLimited, CodeQueueFull, CodeShuttingDown:
 		return true
 	}
 	return false

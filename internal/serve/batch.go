@@ -2,13 +2,13 @@ package serve
 
 // The batch solve engine behind POST /v1/batch: one request fans out into
 // many jobs — an explicit scenario list, or a scenario template plus a
-// parameter grid expanded through internal/experiment — with per-item
-// admission (items are sheddable individually; the batch survives partial
-// shed), per-item journaling (a crashed batch resumes exactly its unfinished
-// items), and NDJSON streaming of results as they complete, so memory stays
-// bounded by the stream instead of accumulating the full result set.
+// parameter grid expanded through internal/experiment — with per-item cache
+// lookup (an item answered before is done at submit), per-item journaling (a
+// crashed batch resumes exactly its unfinished items), and NDJSON streaming
+// of results as they complete, so memory stays bounded by the stream instead
+// of accumulating the full result set.
 //
-// Ordering and backpressure: every surviving item is published as a job up
+// Ordering and backpressure: every item is published as a job up
 // front (IDs, journal records, cancellation handles all exist before the
 // call returns), but items enter the worker pool through a feeder goroutine
 // that blocks on queue space — a thousand-item batch never trips the pool's
@@ -120,24 +120,27 @@ type Batch struct {
 	cancelled bool
 }
 
-// BatchItem is one expanded batch entry: either a published job or an
-// up-front rejection (per-item shed). Grid batches carry provenance —
-// the point/run indices and swept dimension values.
+// BatchItem is one expanded batch entry: a published job, or — only in a
+// batch restored from the journal — an inline rejection. Grid batches carry
+// provenance: the point/run indices and swept dimension values.
 type BatchItem struct {
 	Index  int
 	Point  int
 	Run    int
 	Values []float64
-	// Job is the member job; nil when the item was rejected at submit.
+	// Job is the member job; nil when Reject is set.
 	Job *Job
-	// Reject is the per-item rejection (code "shed"); nil when Job is set.
+	// Reject is the inline rejection of a restored item: its member job is
+	// no longer retained (code not_found), or the journal carries one (see
+	// batchRecDoc). nil when Job is set.
 	Reject *APIError
 	span   *obs.Span
 }
 
 // batchRecDoc is the journal membership record (jrec.Doc of a recBatch
-// line): which jobs belong to the batch, plus inline rejections. Member
-// lifecycles live in the jobs' own records.
+// line): which jobs belong to the batch. Member lifecycles live in the jobs'
+// own records. Err is only read: journals written while the service still
+// shed batch items carry the item's inline rejection there instead of a job.
 type batchRecDoc struct {
 	Schema string         `json:"schema"`
 	Items  []batchRecItem `json:"items"`
@@ -152,7 +155,7 @@ type batchRecItem struct {
 	Values []float64 `json:"values,omitempty"`
 }
 
-// batchPrep is one expanded, validated item before admission.
+// batchPrep is one expanded, validated item before publication.
 type batchPrep struct {
 	sc     *scenario.Scenario
 	values []float64
@@ -244,25 +247,12 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 
-	// Pre-publication pass: content address, cache lookup and per-item
-	// admission. batchAhead accumulates the estimated solve time of this
-	// batch's earlier admitted items — they are not in pool.Len() yet (the
-	// feeder enqueues them later), but they run ahead of item i all the
-	// same, so the shedding estimate must count them. A shed item becomes an
-	// inline rejection; the batch survives it.
+	// Pre-publication pass: content address and cache lookup per item.
 	items := make([]*BatchItem, len(preps))
 	subs := make([]*submission, len(preps))
-	var batchAhead time.Duration
 	for i, p := range preps {
 		items[i] = &BatchItem{Index: i, Point: p.point, Run: p.run, Values: p.values}
-		sub := s.newSubmission(client, p.sc, opts, cfg)
-		if err := s.lookup(sub, batchAhead); err != nil {
-			_, body := apiError(err)
-			items[i].Reject = &body
-			continue
-		}
-		subs[i] = sub
-		batchAhead += sub.dec.EstSolve
+		subs[i] = s.newSubmission(client, p.sc, opts, cfg)
 	}
 
 	// Publish atomically: all member jobs and the batch appear together, or
@@ -281,9 +271,7 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		items:   items,
 	}
 	for i, sub := range subs {
-		if sub != nil {
-			items[i].Job = s.publishLocked(sub)
-		}
+		items[i].Job = s.publishLocked(sub)
 	}
 	s.evictOldLocked()
 	s.batches[b.ID] = b
@@ -301,17 +289,9 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 
 	rec := batchRecDoc{Schema: batchSchema}
 	var feed []*submission
-	shed, hits := 0, 0
+	hits := 0
 	for i, it := range b.items {
-		ri := batchRecItem{Item: it.Index, Point: it.Point, Run: it.Run, Values: it.Values, Err: it.Reject}
-		if it.Reject != nil {
-			rec.Items = append(rec.Items, ri)
-			s.metrics.BatchItemsShed.Add(1)
-			shed++
-			continue
-		}
-		ri.Job = it.Job.ID
-		rec.Items = append(rec.Items, ri)
+		rec.Items = append(rec.Items, batchRecItem{Item: it.Index, Job: it.Job.ID, Point: it.Point, Run: it.Run, Values: it.Values})
 		sp := tr.Root().StartChild("batch.item")
 		sp.SetInt("item", int64(it.Index))
 		sp.SetAttr("job_id", it.Job.ID)
@@ -339,7 +319,7 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 		}
 	}
 	s.log.Info("batch accepted", obs.LogBatchID, b.ID, obs.LogClient, client,
-		"items", len(b.items), "shed", shed, "cache_hits", hits)
+		"items", len(b.items), "cache_hits", hits)
 
 	b.arm()
 	s.inFlight.Add(1)
@@ -364,7 +344,8 @@ func (s *Server) feedBatch(b *Batch, feed []*submission) {
 }
 
 // arm counts live members and attaches one watcher per member job; with no
-// members (everything rejected) the batch is born finished.
+// members (a restored batch whose items were all rejected) the batch is
+// born finished.
 func (b *Batch) arm() {
 	n := 0
 	for _, it := range b.items {

@@ -229,93 +229,125 @@ func TestBatchDisconnectCancelsUnstartedItems(t *testing.T) {
 	}
 }
 
-// TestBatchItemShedBatchSurvives: an injected admit.shed rejects one item
-// up front while the rest of the batch solves; the stream carries the
-// rejection inline with the typed envelope. Batch items take the same
-// submission path as /v1/solve, so the shed and a later cache hit leave the
-// same flight records and log lines a single solve would.
-func TestBatchItemShedBatchSurvives(t *testing.T) {
+// TestBatchItemCacheHitLeavesSolveRecords: batch items take the same
+// submission path as /v1/solve, so an item answered from the cache leaves
+// the same flight record and log line as a cache-hit solve, and serves the
+// same bytes.
+func TestBatchItemCacheHitLeavesSolveRecords(t *testing.T) {
 	var logBuf syncBuffer
 	logger, err := obs.NewLogger(&logBuf, "json", slog.LevelInfo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{Workers: 2, Logger: logger})
-	armFault(t, "admit.shed=error:n=1")
+	sc := distinctScenario(t, 721)
+	solved := submitAndWait(t, s, sc, SolveOptions{})
+	solveHit := submitAndWait(t, s, sc, SolveOptions{})
 
 	b, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{
-		{Scenario: distinctScenario(t, 720)},
-		{Scenario: distinctScenario(t, 721)},
+		{Scenario: sc},
 		{Scenario: distinctScenario(t, 722)},
 	}})
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
-	}
-	it0 := b.Items()[0]
-	if it0.Reject == nil || it0.Reject.Code != CodeShed {
-		t.Fatalf("item 0 = %+v, want an inline shed rejection", it0.Reject)
 	}
 	select {
 	case <-b.Done():
 	case <-time.After(60 * time.Second):
 		t.Fatal("batch did not finish")
 	}
-	for _, i := range []int{1, 2} {
-		if st := b.Items()[i].Job.status(); st.State != StateDone {
-			t.Errorf("item %d = %v (%s), want done", i, st.State, st.Error)
+	if st := b.Items()[1].Job.status(); st.State != StateDone || st.CacheHit {
+		t.Errorf("item 1 = %v (cache_hit %v), want a done solve", st.State, st.CacheHit)
+	}
+	want, _ := solved.resultBytes()
+	for _, hit := range []*Job{solveHit, b.Items()[0].Job} {
+		if st := hit.status(); st.State != StateDone || !st.CacheHit {
+			t.Fatalf("%s = %v (cache_hit %v), want a done cache hit", hit.ID, st.State, st.CacheHit)
+		}
+		if doc, _ := hit.resultBytes(); !bytes.Equal(doc, want) {
+			t.Errorf("cache hit %s serves different bytes from the solve it replays", hit.ID)
+		}
+		rec, ok := s.FlightRecorder().Get(hit.ID)
+		if !ok || rec.Kind != "solve" || rec.Outcome != "cache_hit" || rec.Bad {
+			t.Errorf("cache hit %s flight record = %+v (found %v), want a good solve record with outcome cache_hit", hit.ID, rec, ok)
+		}
+		if !strings.Contains(logBuf.String(), `"msg":"job done from cache","job_id":"`+hit.ID+`"`) {
+			t.Errorf("no \"job done from cache\" log line for %s:\n%s", hit.ID, logBuf.String())
 		}
 	}
-	snap := s.MetricsSnapshot()
-	if snap["batch_items_shed"] != 1 || snap["jobs_shed_total"] != 1 {
-		t.Errorf("shed counters = %d/%d, want 1/1", snap["batch_items_shed"], snap["jobs_shed_total"])
-	}
-	sheds := 0
-	for _, r := range s.FlightRecorder().Records() {
-		if r.Kind == "admission" && r.Outcome == "shed" {
-			sheds++
+}
+
+// TestBatchReplayKeepsLegacyShedRejection: a journal written while the
+// service still shed batch items carries a shed item as an inline
+// rejection in its batch record. Replay restores it as that item's
+// rejection, with the code and message it had, next to the restored
+// member job.
+func TestBatchReplayKeepsLegacyShedRejection(t *testing.T) {
+	dir := t.TempDir()
+	var wal bytes.Buffer
+	for _, raw := range []string{
+		`{"t":"submit","id":"j-1","key":"k1"}`,
+		`{"t":"cancel","id":"j-1","err":"context deadline exceeded"}`,
+		`{"t":"batch","id":"b-3","doc":{"schema":"sagbatch/1","items":[` +
+			`{"item":0,"error":{"code":"shed","message":"admit: load shed: estimated queue wait 2s + solve 1s exceeds deadline 1s","retry_after_s":2}},` +
+			`{"item":1,"job":"j-1"}]}}`,
+	} {
+		var r jrec
+		if err := json.Unmarshal([]byte(raw), &r); err != nil {
+			t.Fatal(err)
 		}
+		line, err := encodeLine(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal.Write(line)
 	}
-	if sheds != 1 {
-		t.Errorf("flight ring holds %d admission/shed records, want 1", sheds)
-	}
-	if !strings.Contains(logBuf.String(), `"msg":"job shed"`) {
-		t.Errorf("no \"job shed\" log line for the shed item:\n%s", logBuf.String())
-	}
-
-	// Re-submitting a finished item is a cache hit, answered at submit.
-	again, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{{Scenario: distinctScenario(t, 721)}}})
-	if err != nil {
-		t.Fatalf("SubmitBatch (resubmit): %v", err)
-	}
-	hit := again.Items()[0].Job
-	if st := hit.status(); st.State != StateDone || !st.CacheHit {
-		t.Fatalf("resubmitted item = %v (cache_hit %v), want a done cache hit", st.State, st.CacheHit)
-	}
-	if rec, ok := s.FlightRecorder().Get(hit.ID); !ok || rec.Outcome != "cache_hit" {
-		t.Errorf("cache-hit item %s flight record = %+v (found %v), want outcome cache_hit", hit.ID, rec, ok)
-	}
-	if !strings.Contains(logBuf.String(), `"msg":"job done from cache","job_id":"`+hit.ID+`"`) {
-		t.Errorf("no \"job done from cache\" log line for %s:\n%s", hit.ID, logBuf.String())
+	if err := os.WriteFile(journalPath(dir), wal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// The finished batch streams the rejection inline.
+	s := newTestServer(t, Options{DataDir: dir})
+	b, ok := s.BatchByID("b-3")
+	if !ok {
+		t.Fatal("journaled batch b-3 not restored")
+	}
+	select {
+	case <-b.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("restored batch with no pending member did not finish")
+	}
+	it0 := b.Items()[0]
+	if it0.Job != nil || it0.Reject == nil || it0.Reject.Code != "shed" ||
+		!strings.Contains(it0.Reject.Message, "load shed") || it0.Reject.RetryAfterS != 2 {
+		t.Fatalf("item 0 = job %v, reject %+v; want the journaled shed rejection", it0.Job, it0.Reject)
+	}
+	if j := b.Items()[1].Job; j == nil || j.ID != "j-1" || j.status().State != StateCancelled {
+		t.Fatalf("item 1 = %+v, want restored cancelled job j-1", b.Items()[1])
+	}
+
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/batch/" + b.ID + "/results")
+	resp, err := http.Get(ts.URL + "/v1/batch/b-3/results")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	hdr, items, trailer := readStream(t, resp.Body)
-	if hdr.Items != 3 {
-		t.Errorf("header items = %d, want 3", hdr.Items)
+	_, items, trailer := readStream(t, resp.Body)
+	if line := items[0]; line.State != "rejected" || line.Error == nil || line.Error.Code != "shed" {
+		t.Errorf("item 0 stream line = %+v, want state rejected with error.code shed", line)
 	}
-	if line := items[0]; line.State != "rejected" || line.Error == nil || line.Error.Code != CodeShed {
-		t.Errorf("rejected stream line = %+v, want state rejected with error.code shed", line)
+	if trailer == nil || trailer.ItemsRejected != 1 || trailer.ItemsCancelled != 1 || !trailer.Complete {
+		t.Errorf("trailer = %+v, want 1 rejected / 1 cancelled / complete", trailer)
 	}
-	if trailer == nil || trailer.ItemsRejected != 1 || trailer.ItemsDone != 2 || !trailer.Complete {
-		t.Fatalf("trailer = %+v, want 1 rejected / 2 done / complete", trailer)
+	// Batch IDs continue after the journaled one.
+	next, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{{Scenario: distinctScenario(t, 730)}}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if next.ID != "b-4" {
+		t.Errorf("next batch ID = %s, want b-4", next.ID)
+	}
+	<-next.Done()
 }
 
 // copyDir snapshots a journal data dir mid-run — the kill -9 image a crash

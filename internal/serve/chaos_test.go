@@ -9,23 +9,13 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/scenario"
 )
-
-// shedByDesign reports an admission-control rejection: the admit.shed site
-// rejects at the door (by design, before a queue slot is consumed), so a
-// chaos submit bouncing off it is correct behaviour, not a failure.
-func shedByDesign(err error) bool {
-	var shed *admit.ShedError
-	return errors.As(err, &shed)
-}
 
 // chaosScenario generates a distinct tiny instance per seed so chaos jobs
 // never collapse into cache hits (the cache would shield sites from fire).
@@ -61,9 +51,6 @@ func TestChaosEverySiteEveryKind(t *testing.T) {
 						Options:  SolveOptions{Coverage: "GAC"},
 					})
 					if err != nil {
-						if shedByDesign(err) {
-							continue
-						}
 						t.Fatalf("submit %d under %s=%s: %v", i, site, kind, err)
 					}
 					jobs = append(jobs, job)
@@ -128,9 +115,6 @@ func TestChaosAllSitesAtOnce(t *testing.T) {
 			Options:  SolveOptions{Coverage: "GAC"},
 		})
 		if err != nil {
-			if shedByDesign(err) {
-				continue
-			}
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		jobs = append(jobs, job)

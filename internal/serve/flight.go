@@ -3,8 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"sagrelay/internal/obs"
@@ -12,23 +10,15 @@ import (
 
 // flightDetail is the Detail document of a job's flight record: everything
 // a postmortem wants that the record header does not carry — the full span
-// tree, the final progress snapshot, the convergence curve, and the
-// admission decision that let the job in.
+// tree, the final progress snapshot and the convergence curve.
 type flightDetail struct {
-	Schema   string `json:"schema"`
-	CacheHit bool   `json:"cache_hit,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	// EstSolveMS/EstWaitMS are the cost-model estimates behind admission
-	// (zero when the model was cold or the job skipped admission).
-	EstSolveMS float64         `json:"est_solve_ms,omitempty"`
-	EstWaitMS  float64         `json:"est_wait_ms,omitempty"`
-	Trace      *obs.SpanDoc    `json:"trace,omitempty"`
-	Progress   *progressDoc    `json:"progress,omitempty"`
-	Curve      []progressPoint `json:"curve,omitempty"`
+	Schema   string          `json:"schema"`
+	CacheHit bool            `json:"cache_hit,omitempty"`
+	Degraded bool            `json:"degraded,omitempty"`
+	Trace    *obs.SpanDoc    `json:"trace,omitempty"`
+	Progress *progressDoc    `json:"progress,omitempty"`
+	Curve    []progressPoint `json:"curve,omitempty"`
 }
-
-// flightSeq numbers synthetic flight IDs (shed requests have no job ID).
-var flightSeq atomic.Int64
 
 // recordFlight retains a finished job in the flight ring. outcome is the
 // record's headline ("done", "degraded", "failed", "cancelled",
@@ -46,12 +36,10 @@ func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool) {
 		queueEnd = finished
 	}
 	detail := flightDetail{
-		Schema:     "sagflightdetail/1",
-		CacheHit:   cacheHit,
-		Degraded:   degraded,
-		EstSolveMS: float64(job.admit.EstSolve.Microseconds()) / 1000,
-		EstWaitMS:  float64(job.admit.EstWait.Microseconds()) / 1000,
-		Trace:      trace,
+		Schema:   "sagflightdetail/1",
+		CacheHit: cacheHit,
+		Degraded: degraded,
+		Trace:    trace,
 	}
 	if p := job.progressState(); p != nil {
 		doc := p.snapshot(job)
@@ -78,27 +66,6 @@ func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool) {
 		WallMS:  float64(finished.Sub(created).Microseconds()) / 1000,
 		Bad:     bad,
 		Detail:  json.RawMessage(detailBytes),
-	})
-}
-
-// recordShed retains a shed submission: it never became a job, so it gets a
-// synthetic ID and no detail document beyond the error. Rate-limited
-// submissions are deliberately not recorded: a client flood would evict
-// failure records from the ring's reserved half.
-func (s *Server) recordShed(client, errMsg string) {
-	if s.flight == nil {
-		return
-	}
-	now := time.Now()
-	s.flight.Record(obs.FlightRecord{
-		ID:      "shed-" + strconv.FormatInt(flightSeq.Add(1), 10),
-		Kind:    "admission",
-		Outcome: "shed",
-		Client:  client,
-		Error:   errMsg,
-		Start:   now,
-		End:     now,
-		Bad:     true,
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/obs"
 )
 
@@ -37,10 +36,6 @@ type Job struct {
 	// incr is non-nil for jobs submitted through Resolve: the dirty-set
 	// plan runJob consults. Immutable after publication.
 	incr *incrMeta
-	// admit carries the cost-model estimates behind this job's admission
-	// (zero for cache hits and journal-replayed jobs), reported on the
-	// job's admit span. Immutable after publication.
-	admit admit.Decision
 	// client is the submitting client's rate-limit identity (empty for
 	// internal callers), carried into logs and the flight record.
 	// Immutable after publication.

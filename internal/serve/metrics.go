@@ -18,8 +18,8 @@ import (
 // Counters are process-lifetime; there is no reset.
 type Metrics struct {
 	JobsAccepted, JobsRejected, JobsCompleted, JobsFailed, JobsCancelled atomic.Int64
-	JobsPanicked, JobsDegraded, JobsShed, RateLimited                    atomic.Int64
-	BatchesTotal, BatchItemsTotal, BatchItemsShed                        atomic.Int64
+	JobsPanicked, JobsDegraded, RateLimited                              atomic.Int64
+	BatchesTotal, BatchItemsTotal                                        atomic.Int64
 	CacheHits, CacheMisses, Resolves, SolveMicros, Solves                atomic.Int64
 	JournalErrors, JournalRestored, JournalReplayed, JournalCorrupt      atomic.Int64
 	ProgressStreams                                                      atomic.Int64
@@ -41,7 +41,9 @@ type Metrics struct {
 //	sagmetrics/6  introspection keys added (queue depth and flight ring
 //	              gauges, opened progress streams)
 //	sagmetrics/7  inflight_limit dropped with the AIMD limiter
-const metricsSchema = "sagmetrics/7"
+//	sagmetrics/8  jobs_shed_total and batch_items_shed dropped with
+//	              deadline-aware shedding
+const metricsSchema = "sagmetrics/8"
 
 // seriesPrefix turns a /metrics JSON key into its Prometheus series name.
 const seriesPrefix = "sag_"
@@ -65,11 +67,9 @@ func (s *Server) metricsRegistry() *obs.Registry {
 	counter("jobs_cancelled", "Jobs ended by deadline, client cancel or shutdown.", m.JobsCancelled.Load)
 	counter("jobs_panicked", "Jobs whose solve panicked (each also counted as failed).", m.JobsPanicked.Load)
 	counter("jobs_degraded", "Completed jobs that used a heuristic fallback stage.", m.JobsDegraded.Load)
-	counter("jobs_shed_total", "Submissions rejected by deadline-aware load shedding.", m.JobsShed.Load)
 	counter("rate_limited_total", "Submissions rejected by per-client rate limiting.", m.RateLimited.Load)
 	counter("batches_total", "Accepted POST /v1/batch submissions.", m.BatchesTotal.Load)
-	counter("batch_items_total", "Items accepted batches expanded to (jobs plus rejections).", m.BatchItemsTotal.Load)
-	counter("batch_items_shed", "Batch items individually refused by deadline-aware shedding.", m.BatchItemsShed.Load)
+	counter("batch_items_total", "Items accepted batches expanded to.", m.BatchItemsTotal.Load)
 	gauge("breaker_state", "Degrade circuit breaker state (0 closed, 1 open, 2 half-open).", s.admit.BreakerState)
 	counter("breaker_trips_total", "Degrade circuit breaker trips (closed/half-open to open).", s.admit.BreakerTrips)
 	counter("cache_hits", "Result-cache hits at submit time.", m.CacheHits.Load)

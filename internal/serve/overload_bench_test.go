@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/scenario"
 )
@@ -18,35 +17,40 @@ import (
 // 30 subscribers, 4 base stations), each carrying a one-second deadline.
 // The offered rate is expressed in solve-cost units: every replay first
 // solves the same replayCalibrate scenarios one at a time on the idle
-// server, then offers replayLoad x workers / mean solve seconds for
-// replaySpan. IAC solve times are heavy-tailed across fields, so the
-// calibration set is fixed rather than drawn per replay: the offered rate
-// then moves only with the machine, not with the draw.
+// server, then offers load x workers / mean solve seconds for replaySpan.
+// IAC solve times are heavy-tailed across fields, so the calibration set is
+// fixed rather than drawn per replay: the offered rate then moves only with
+// the machine, not with the draw.
 const (
 	replayWorkers   = 2
 	replayQueue     = 256
 	replayDeadline  = time.Second
 	replaySpan      = 20 * time.Second
-	replayLoad      = 1.4
 	replayCalibrate = 16
 )
 
-// replayPhases are the traffic shapes. The slow-dependency phase arms a
-// fault delay on simplex pivots for the whole replay, calibration
-// included, so its rate is 1.4x the slowed capacity.
-var replayPhases = []struct{ name, fault string }{
-	{name: "overload"},
-	{name: "slow-dependency", fault: "lp.pivot=delay:p=0.02:d=1ms"},
+// replayPhases are the traffic shapes: load is the offered rate in units
+// of calibrated capacity. The slow-dependency phase arms a fault delay on
+// simplex pivots for the whole replay, calibration included, so its rate is
+// 1.4x the slowed capacity; overload-3x is the heavy-overload shape.
+var replayPhases = []struct {
+	name, fault string
+	load        float64
+}{
+	{name: "overload", load: 1.4},
+	{name: "slow-dependency", fault: "lp.pivot=delay:p=0.02:d=1ms", load: 1.4},
+	{name: "overload-3x", load: 3},
 }
 
 // replayStats accumulates one phase's outcome over the benchmark's
 // iterations. An answer is a job that ended with a result document,
 // degraded ones included: the degrade ladder is the service's way of
-// answering on time.
+// answering on time. A refusal is a submit error other than a full queue
+// (a server that sheds by deadline refuses that way).
 type replayStats struct {
 	seconds, rate, solveSeconds       float64
 	sent, answered, cancelled, failed int
-	shed, rejected, degraded          int
+	refused, rejected, degraded       int
 	latencies                         []float64
 }
 
@@ -56,22 +60,25 @@ type replayStats struct {
 //
 //	go test -run '^$' -bench OverloadReplay -benchtime 2x ./internal/serve/
 //
-// Reported per phase: on-time answers per second of offered traffic, the
-// per-replay counts of cancelled (deadline hit with no answer), shed,
-// queue-full, failed and degraded jobs, and p50/p99 latency of the
+// Reported per phase: answers per second of offered traffic (on-time/s),
+// the share of sent requests answered, exact (non-degraded) answers per
+// second, the per-replay counts of cancelled (deadline hit with no answer),
+// refused, queue-full, failed and degraded jobs, and p50/p99 latency of the
 // answered requests (submit to result).
 func BenchmarkOverloadReplay(b *testing.B) {
 	for _, ph := range replayPhases {
 		b.Run(ph.name, func(b *testing.B) {
 			var st replayStats
 			for i := 0; i < b.N; i++ {
-				runReplay(b, ph.fault, int64(i+1), &st)
+				runReplay(b, ph.fault, ph.load, int64(i+1), &st)
 			}
 			n := float64(b.N)
 			slices.Sort(st.latencies)
 			b.ReportMetric(float64(st.answered)/st.seconds, "on-time/s")
+			b.ReportMetric(float64(st.answered)/float64(st.sent), "answered-share")
+			b.ReportMetric(float64(st.answered-st.degraded)/st.seconds, "exact/s")
 			b.ReportMetric(float64(st.cancelled)/n, "cancelled/op")
-			b.ReportMetric(float64(st.shed)/n, "shed/op")
+			b.ReportMetric(float64(st.refused)/n, "refused/op")
 			b.ReportMetric(float64(st.rejected)/n, "queue-full/op")
 			b.ReportMetric(float64(st.failed)/n, "failed/op")
 			b.ReportMetric(float64(st.degraded)/n, "degraded/op")
@@ -84,9 +91,9 @@ func BenchmarkOverloadReplay(b *testing.B) {
 	}
 }
 
-// runReplay runs one calibrated replay with the given arrival seed and adds
-// its outcome to st.
-func runReplay(b *testing.B, faultSpec string, seed int64, st *replayStats) {
+// runReplay runs one calibrated replay at load x capacity with the given
+// arrival seed and adds its outcome to st.
+func runReplay(b *testing.B, faultSpec string, load float64, seed int64, st *replayStats) {
 	b.Helper()
 	if faultSpec != "" {
 		if err := fault.EnableSpec(faultSpec, seed); err != nil {
@@ -109,8 +116,8 @@ func runReplay(b *testing.B, faultSpec string, seed int64, st *replayStats) {
 	// seed<<20 + i, so no request is ever a cache hit.
 	opts := SolveOptions{Coverage: "IAC", Workers: 1}
 
-	// Calibration: unloaded solves, one at a time, no deadline. They also
-	// warm the admission cost model, as on a server that has been serving.
+	// Calibration: unloaded solves, one at a time, no deadline, as on a
+	// server that has been serving.
 	var solve float64
 	for k := 0; k < replayCalibrate; k++ {
 		job, err := s.Submit(SolveRequest{Scenario: replayScenario(b, int64(k)), Options: opts})
@@ -123,7 +130,7 @@ func runReplay(b *testing.B, faultSpec string, seed int64, st *replayStats) {
 		job.mu.Unlock()
 	}
 	solve /= replayCalibrate
-	rate := replayLoad * replayWorkers / solve
+	rate := load * replayWorkers / solve
 
 	rng := rand.New(rand.NewSource(seed))
 	var at []time.Duration
@@ -142,16 +149,13 @@ func runReplay(b *testing.B, faultSpec string, seed int64, st *replayStats) {
 	for i, sc := range scs {
 		time.Sleep(time.Until(start.Add(at[i])))
 		job, err := s.Submit(SolveRequest{Scenario: sc, Options: opts})
-		var shed *admit.ShedError
 		switch {
 		case err == nil:
 			jobs = append(jobs, job)
-		case errors.As(err, &shed):
-			st.shed++
 		case errors.Is(err, ErrQueueFull):
 			st.rejected++
 		default:
-			b.Fatalf("submit: %v", err)
+			st.refused++
 		}
 	}
 	for _, job := range jobs {

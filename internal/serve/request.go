@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -101,8 +102,14 @@ func (o SolveOptions) normalized() SolveOptions {
 	if o.ZoneTimeoutMS <= 0 {
 		o.ZoneTimeoutMS = 2000
 	}
+	// Compare in milliseconds before converting: a budget past the range
+	// of a time.Duration is clamped to the longest one instead of wrapping.
+	o.ZoneTimeoutMS = min(o.ZoneTimeoutMS, maxDurationMS)
 	return o
 }
+
+// maxDurationMS is the longest time.Duration in whole milliseconds.
+const maxDurationMS = int64(math.MaxInt64 / time.Millisecond)
 
 // coreConfig translates the options into a pipeline configuration.
 func (o SolveOptions) coreConfig() (core.Config, error) {

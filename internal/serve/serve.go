@@ -93,17 +93,17 @@ type Options struct {
 	// MaxBatches bounds the in-memory batch table; the oldest finished
 	// batches are forgotten beyond it (default 64).
 	MaxBatches int
-	// Admit tunes the admission-control and overload-resilience layer:
-	// per-client rate limiting, deadline-aware load shedding and the
-	// degrade circuit breaker. Zero values mean the admit package defaults.
+	// Admit tunes the admission-control layer: per-client rate limiting
+	// and the degrade circuit breaker. Zero values mean the admit package
+	// defaults.
 	Admit admit.Options
 	// FlightRecords bounds the flight recorder's retained completed-job
 	// records (default obs.DefaultFlightRecords; half the capacity is
-	// reserved for failures/degrades/sheds).
+	// reserved for failures and degraded answers).
 	FlightRecords int
 	// Logger receives the server's structured event log (submit, start,
-	// finish, shed, breaker transitions, journal replay) with job_id /
-	// batch_id / client correlation fields. nil discards everything.
+	// finish, rate limiting, breaker transitions, journal replay) with
+	// job_id / batch_id / client correlation fields. nil discards everything.
 	Logger *slog.Logger
 }
 
@@ -154,8 +154,8 @@ type Server struct {
 	// document, MetricsSnapshot and the Prometheus exposition all render it
 	// (see metricsRegistry).
 	series *obs.Registry
-	// admit is the admission-control layer: rate limiting and deadline-aware
-	// shedding at submit, the degrade circuit breaker around each solve.
+	// admit is the admission-control layer: rate limiting at submit, the
+	// degrade circuit breaker around each solve.
 	admit *admit.Controller
 	// flight retains the last K completed-job records for postmortems (see
 	// obs.FlightRecorder); log is the structured event logger (never nil —
@@ -444,9 +444,6 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	sub := s.newSubmission(client, req.Scenario, opts, cfg)
-	if err := s.lookup(sub, 0); err != nil {
-		return nil, err
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -533,11 +530,10 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		return
 	}
 
-	// Admission control around the solve itself: the breaker decides the
-	// execution mode (exact, heuristic-first, or half-open probe).
+	// The breaker decides the execution mode (exact, heuristic-first, or
+	// half-open probe).
 	grant := s.admit.Begin()
-	sizeClass := admit.SizeClass(len(sc.Subscribers))
-	outcome := admit.Outcome{SizeClass: sizeClass, Failed: true}
+	outcome := admit.Outcome{Failed: true}
 	// The deferred Finish is the panic backstop (Finish is idempotent; the
 	// first call wins, and outcome defaults to Failed until the solve
 	// settles it below).
@@ -552,9 +548,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	tr.Root().SetAttr("job_id", job.ID)
 	ctx = obs.WithTrace(ctx, tr)
 	asp := tr.Root().StartChild("admit")
-	asp.SetInt("size_class", int64(sizeClass))
-	asp.SetFloat("est_solve_s", job.admit.EstSolve.Seconds())
-	asp.SetFloat("est_wait_s", job.admit.EstWait.Seconds())
 	asp.SetBool("heuristic_first", grant.HeuristicFirst())
 	asp.SetBool("probe", grant.Probe())
 	asp.End()
@@ -582,7 +575,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	tr.Finish()
 	job.setTrace(tr.Doc())
 	jobLatencySeconds.Observe(elapsed.Seconds())
-	outcome.Seconds = elapsed.Seconds()
 	outcome.DeadlineMiss = errors.Is(ctx.Err(), context.DeadlineExceeded)
 
 	if err != nil {
@@ -603,9 +595,9 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 	outcome.Failed = false
 	outcome.Degraded = sol.Degraded
-	// Settle admission before the job is published as done: whoever sees it
-	// finished (a client's next submit, a test) meets a cost model and
-	// breaker that already count it.
+	// Settle the breaker before the job is published as done: whoever sees
+	// it finished (a client's next submit, a test) meets a breaker that
+	// already counts it.
 	s.admit.Finish(grant, outcome)
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())

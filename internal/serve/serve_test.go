@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -142,6 +143,45 @@ func TestDifferentOptionsSplitTheCache(t *testing.T) {
 	}
 	if b := requestKey(sc, SolveOptions{Workers: 8, TimeoutMS: 1234}); b != a {
 		t.Error("workers/timeout leaked into the request key; equivalent requests must share it")
+	}
+}
+
+// TestOversizedTimeoutsDoNotWrap: a timeout_ms past the range of a
+// time.Duration falls back to MaxJobTime instead of wrapping to a negative
+// deadline that cancels the job before it runs, and an equally oversized
+// zone_timeout_ms is clamped to the longest representable zone budget
+// rather than wrapping, so every such value names one cache key.
+func TestOversizedTimeoutsDoNotWrap(t *testing.T) {
+	s := newTestServer(t, Options{MaxJobTime: time.Minute})
+	for _, ms := range []int64{9_300_000_000_000, math.MaxInt64, 60_001} {
+		if got := s.jobTimeout(SolveOptions{TimeoutMS: ms}); got != time.Minute {
+			t.Errorf("jobTimeout(timeout_ms %d) = %v, want MaxJobTime 1m", ms, got)
+		}
+	}
+	for _, ms := range []int64{60_000, 1} {
+		if got, want := s.jobTimeout(SolveOptions{TimeoutMS: ms}), time.Duration(ms)*time.Millisecond; got != want {
+			t.Errorf("jobTimeout(timeout_ms %d) = %v, want %v", ms, got, want)
+		}
+	}
+	job := submitAndWait(t, s, tinyScenario(t), SolveOptions{TimeoutMS: 9_300_000_000_000})
+	if st := job.status(); st.State != StateDone {
+		t.Fatalf("job with timeout_ms 9.3e12 ended %v (%s), want done", st.State, st.Error)
+	}
+
+	sc := tinyScenario(t)
+	huge := SolveOptions{Coverage: "IAC", ZoneTimeoutMS: 9_300_000_000_000}
+	cfg, err := huge.normalized().coreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.ILP.TimeLimit < time.Duration(math.MaxInt64)-time.Millisecond {
+		t.Errorf("zone_timeout_ms 9.3e12 gives a %v zone budget, want the longest representable", cfg.ILP.TimeLimit)
+	}
+	if requestKey(sc, huge) != requestKey(sc, SolveOptions{Coverage: "IAC", ZoneTimeoutMS: math.MaxInt64}) {
+		t.Error("oversized zone_timeout_ms values split the cache key")
+	}
+	if requestKey(sc, huge) == requestKey(sc, SolveOptions{Coverage: "IAC"}) {
+		t.Error("oversized zone_timeout_ms shares the default 2s budget's cache key")
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"sagrelay/internal/admit"
 )
 
 // TestBurstSoakAccountingAndDrain storms a deliberately tiny server (2
@@ -58,8 +56,7 @@ func TestBurstSoakAccountingAndDrain(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				var shed *admit.ShedError
-				if errors.As(err, &shed) || errors.Is(err, ErrQueueFull) {
+				if errors.Is(err, ErrQueueFull) {
 					overload++
 					return
 				}
@@ -82,7 +79,7 @@ func TestBurstSoakAccountingAndDrain(t *testing.T) {
 	snap := s.MetricsSnapshot()
 	submitted := int64(burst + 1) // the control job included
 	accepted := snap["jobs_accepted"]
-	turnedAway := snap["jobs_rejected"] + snap["jobs_shed_total"] + snap["rate_limited_total"]
+	turnedAway := snap["jobs_rejected"] + snap["rate_limited_total"]
 	if accepted+turnedAway != submitted {
 		t.Errorf("accepted %d + turned away %d != submitted %d (snapshot %v)",
 			accepted, turnedAway, submitted, snap)

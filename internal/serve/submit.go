@@ -1,8 +1,8 @@
 package serve
 
 // The one job-submission path, shared by /v1/solve, /v1/resolve, batch items
-// and journal re-runs: newSubmission (deadline, content address, scenario
-// retention), lookup (cache, then admission), publishLocked, then either
+// and journal re-runs: newSubmission (content address, scenario retention,
+// cache lookup), publishLocked (job table, deadline), then either
 // answerFromCache for a hit or journalSubmit and enqueue for a miss. Rate
 // limiting, validation, batch publication under one lock and whether
 // enqueueing may block stay with each caller.
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"time"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/core"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/par"
@@ -31,19 +30,18 @@ type submission struct {
 	key    string
 	hash   string
 	doc    []byte // the cached result document; non-nil exactly on a hit
-	dec    admit.Decision
 	job    *Job
 	ctx    context.Context // the job's deadline; nil on a hit
 }
 
 // jobTimeout is a job's deadline: Options.MaxJobTime, shortened (never
-// lengthened) by the request's timeout_ms.
+// lengthened) by the request's timeout_ms. The comparison is in whole
+// milliseconds, before any conversion, so a timeout_ms too large for a
+// time.Duration falls back to MaxJobTime instead of wrapping negative.
 func (s *Server) jobTimeout(opts SolveOptions) time.Duration {
 	timeout := s.opts.MaxJobTime
-	if ms := opts.TimeoutMS; ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if ms := opts.TimeoutMS; ms > 0 && ms <= int64(timeout/time.Millisecond) {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	return timeout
 }
@@ -56,11 +54,12 @@ func (s *Server) retainScenario(sc *scenario.Scenario) string {
 	return hash
 }
 
-// newSubmission content-addresses a validated request. The scenario is
-// retained before its job is visible: a client that reads the accepted
-// job's scenario_hash may immediately resolve against it.
+// newSubmission content-addresses a validated request and looks it up in
+// the result cache. The scenario is retained before its job is visible: a
+// client that reads the accepted job's scenario_hash may immediately
+// resolve against it.
 func (s *Server) newSubmission(client string, sc *scenario.Scenario, opts SolveOptions, cfg core.Config) *submission {
-	return &submission{
+	sub := &submission{
 		client: client,
 		sc:     sc,
 		opts:   opts,
@@ -68,27 +67,8 @@ func (s *Server) newSubmission(client string, sc *scenario.Scenario, opts SolveO
 		key:    requestKey(sc, opts),
 		hash:   s.retainScenario(sc),
 	}
-}
-
-// lookup consults the result cache and, on a miss, makes the deadline-aware
-// shedding decision before the job takes a queue slot. Cache hits skip it:
-// shedding them would refuse free requests. batchAhead is the estimated
-// solve time of earlier admitted items of the same batch, not queued yet.
-// A shed is counted, logged and flight-recorded.
-func (s *Server) lookup(sub *submission, batchAhead time.Duration) error {
-	if doc, ok := s.cache.Get(sub.key); ok {
-		sub.doc = doc
-		return nil
-	}
-	dec, err := s.admit.Admit(admit.SizeClass(len(sub.sc.Subscribers)), s.pool.Len(), s.pool.Workers(), batchAhead, s.jobTimeout(sub.opts))
-	if err != nil {
-		s.metrics.JobsShed.Add(1)
-		s.log.Warn("job shed", obs.LogClient, sub.client, "error", err.Error())
-		s.recordShed(sub.client, err.Error())
-		return err
-	}
-	sub.dec = dec
-	return nil
+	sub.doc, _ = s.cache.Get(sub.key)
+	return sub
 }
 
 // addJobLocked builds a queued job and publishes it in the table, newest
@@ -114,7 +94,6 @@ func (s *Server) addJobLocked(id, key, scHash, client string) *Job {
 func (s *Server) publishLocked(sub *submission) *Job {
 	s.seq++
 	sub.job = s.addJobLocked("j-"+strconv.FormatInt(s.seq, 10), sub.key, sub.hash, sub.client)
-	sub.job.admit = sub.dec
 	if sub.doc == nil {
 		s.armJob(sub)
 	}
