@@ -117,22 +117,32 @@ echo "== go test -race -run 'TestIncr' ./internal/incr/"
 go test -race -count=1 -run 'TestIncr' -timeout 20m ./internal/incr/
 
 # Observability gate: a traced sagcli solve must emit a span tree covering
-# every pipeline stage. (The Prometheus exposition grammar is gated by
-# TestMetricsPrometheusHistograms in the serve pass above.)
+# every pipeline stage, with no zero-length span. The default SAMC solve runs
+# its zones in order on one worker; the IAC solve of the same scenario fans
+# them out, so its zone and B&B spans are opened on pool workers. (The
+# Prometheus exposition grammar is gated by TestMetricsPrometheusHistograms
+# in the serve pass above.)
 echo "== sagcli -trace-out"
 TRACEDIR=$(mktemp -d)
 trap 'rm -rf "$TRACEDIR"' EXIT
 go run ./cmd/sagcli -gen -users 12 -field 400 -bs 2 -save "$TRACEDIR/sc.json" >/dev/null
-go run ./cmd/sagcli -scenario "$TRACEDIR/sc.json" -trace-out "$TRACEDIR/trace.json" >/dev/null
-for stage in sagcli solve zone_partition zone coverage coverage_power connectivity connectivity_power; do
-	if ! grep -q "\"name\": \"$stage\"" "$TRACEDIR/trace.json"; then
-		echo "ci.sh: trace.json lacks a \"$stage\" span" >&2
+go run ./cmd/sagcli -scenario "$TRACEDIR/sc.json" -trace-out "$TRACEDIR/samc.json" >/dev/null
+go run ./cmd/sagcli -scenario "$TRACEDIR/sc.json" -coverage IAC -trace-out "$TRACEDIR/iac.json" >/dev/null
+check_trace() {
+	file=$1
+	shift
+	for stage in "$@"; do
+		if ! grep -q "\"name\": \"$stage\"" "$TRACEDIR/$file"; then
+			echo "ci.sh: $file lacks a \"$stage\" span" >&2
+			exit 1
+		fi
+	done
+	if grep -q '"dur_ns": 0' "$TRACEDIR/$file"; then
+		echo "ci.sh: $file contains a zero-duration span" >&2
 		exit 1
 	fi
-done
-if grep -q '"dur_ns": 0' "$TRACEDIR/trace.json"; then
-	echo "ci.sh: trace.json contains a zero-duration span" >&2
-	exit 1
-fi
+}
+check_trace samc.json sagcli solve zone_partition zone coverage coverage_power connectivity connectivity_power
+check_trace iac.json zone_partition zone bnb
 
 echo "ci.sh: all checks passed"

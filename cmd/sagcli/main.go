@@ -81,7 +81,7 @@ func run(args []string) error {
 		conn      = fs.String("connectivity", "MBMC", "connectivity method: MBMC or MUST")
 		workers   = fs.Int("workers", 0, "concurrent per-zone solves (0 = all CPUs, 1 = sequential)")
 		timeout   = fs.Duration("timeout", 0, "overall solve deadline, e.g. 30s (0 = unbounded)")
-		progress  = fs.Bool("progress", false, "print a live convergence meter (zones done, nodes, worst gap) to stderr during IAC/GAC solves")
+		progress  = fs.Bool("progress", false, "print a live convergence meter (zones done, nodes, worst B&B gap) to stderr during the solve")
 		traceOut  = fs.String("trace-out", "", "write the solve's span tree as JSON to this file ('-' = stderr)")
 		basePath  = fs.String("base", "", "base scenario file for -delta (defaults to -scenario)")
 		deltaPath = fs.String("delta", "", "scenario delta JSON to apply to the base scenario")

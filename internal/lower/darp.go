@@ -2,14 +2,9 @@ package lower
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
-	"sagrelay/internal/geom"
-	"sagrelay/internal/hitting"
 	"sagrelay/internal/obs"
-	"sagrelay/internal/par"
 	"sagrelay/internal/scenario"
 )
 
@@ -24,69 +19,17 @@ import (
 // Verify(sc, true) — quantifying exactly the gap the paper's Fig. 3
 // feasibility arguments are about.
 func DistanceCoverage(ctx context.Context, sc *scenario.Scenario, opts SAMCOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
 	opts = opts.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("lower: distance coverage: %w", err)
-	}
-	_, zpSpan := obs.StartSpan(ctx, "zone_partition")
-	zones, err := ZonePartition(sc)
-	zpSpan.SetInt("zones", int64(len(zones)))
-	zpSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("lower: distance coverage: %w", err)
-	}
-	res := &Result{Method: "DARP-cover", Zones: zones}
-	// Zones are independent: solve them concurrently, then concatenate the
-	// relay lists in zone order for a worker-count-independent result.
-	zoneRelays := make([][]Relay, len(zones))
-	err = par.ForEachContext(ctx, opts.Workers, len(zones), func(zi int) error {
-		zone := zones[zi]
-		disks := make([]geom.Circle, len(zone))
-		for i, s := range zone {
-			disks[i] = sc.Subscribers[s].Circle()
-		}
-		inst := &hitting.Instance{
-			Disks:      disks,
-			Candidates: geom.IntersectionCandidates(disks),
-			Tol:        coverTol,
-		}
-		mhs, err := inst.Solve(opts.Hitting)
-		if err != nil {
-			return err
-		}
-		points := make([]geom.Point, len(mhs.Chosen))
-		for i, c := range mhs.Chosen {
-			points[i] = inst.Candidates[c]
-		}
-		relays, err := CoverageLinkEscape(sc, zone, points)
-		if err != nil {
-			return err
-		}
-		zoneRelays[zi] = relays
-		return nil
+	// opts.Cache stays unused: its entries are SAMC's SNR-slid placements,
+	// keyed by samcZoneKey, not distance-only covers.
+	return solveZones(ctx, sc, zoneMethod{
+		name:    "DARP-cover",
+		workers: opts.Workers,
+		solve: func(_ context.Context, zone []int, _ *obs.Span) ([]Relay, bool, error) {
+			relays, _, _, err := hittingEscape(sc, zone, 1, opts.Hitting)
+			return relays, false, err
+		},
 	})
-	if err != nil {
-		if errors.Is(err, hitting.ErrUncoverable) {
-			res.Feasible = false
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		return nil, fmt.Errorf("lower: distance coverage: %w", err)
-	}
-	for _, relays := range zoneRelays {
-		res.Relays = append(res.Relays, relays...)
-	}
-	res.Feasible = true
-	res.AssignOf, err = buildAssign(sc.NumSS(), res.Relays)
-	if err != nil {
-		return nil, fmt.Errorf("lower: distance coverage: %w", err)
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 // SNRViolations counts the subscribers whose Definition 2 SNR (all relays

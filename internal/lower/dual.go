@@ -2,14 +2,13 @@ package lower
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"sagrelay/internal/geom"
 	"sagrelay/internal/hitting"
-	"sagrelay/internal/par"
+	"sagrelay/internal/obs"
 	"sagrelay/internal/scenario"
 )
 
@@ -36,77 +35,36 @@ type DualResult struct {
 // subscribers could evict it from circles where it serves as backup. Use
 // SNRViolations to audit the SNR cost of the redundancy.
 func DualCoverage(ctx context.Context, sc *scenario.Scenario, opts SAMCOptions) (*DualResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
-	opts = opts.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("lower: dual coverage: %w", err)
-	}
-	zones, err := ZonePartition(sc)
-	if err != nil {
-		return nil, fmt.Errorf("lower: dual coverage: %w", err)
-	}
-	res := &DualResult{Result: Result{Method: "dual-cover", Zones: zones}}
-	// Zones are independent: solve them concurrently, then concatenate the
-	// relay lists in zone order for a worker-count-independent result.
-	zoneRelays := make([][]Relay, len(zones))
-	err = par.ForEachContext(ctx, opts.Workers, len(zones), func(zi int) error {
-		relays, err := dualZone(sc, zones[zi])
-		if err != nil {
-			return err
-		}
-		zoneRelays[zi] = relays
-		return nil
+	// opts.Cache stays unused: its entries are SAMC's 1-fold SNR-slid
+	// placements, keyed by samcZoneKey, not 2-fold covers.
+	cover, err := solveZones(ctx, sc, zoneMethod{
+		name:    "dual-cover",
+		workers: opts.Workers,
+		solve: func(_ context.Context, zone []int, _ *obs.Span) ([]Relay, bool, error) {
+			relays, err := dualZone(sc, zone)
+			return relays, false, err
+		},
 	})
 	if err != nil {
-		if errors.Is(err, hitting.ErrUncoverable) {
-			res.Feasible = false
-			res.Elapsed = time.Since(start)
-			return res, nil
+		return nil, err
+	}
+	res := &DualResult{Result: *cover}
+	if res.Feasible {
+		if err := res.assignBackups(sc); err != nil {
+			return nil, fmt.Errorf("lower: dual-cover: %w", err)
 		}
-		return nil, fmt.Errorf("lower: dual coverage: %w", err)
-	}
-	for _, relays := range zoneRelays {
-		res.Relays = append(res.Relays, relays...)
-	}
-	res.Feasible = true
-	res.AssignOf, err = buildAssign(sc.NumSS(), res.Relays)
-	if err != nil {
-		return nil, fmt.Errorf("lower: dual coverage: %w", err)
-	}
-	if err := res.assignBackups(sc); err != nil {
-		return nil, fmt.Errorf("lower: dual coverage: %w", err)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // dualZone places 2-fold coverage for one zone and derives the primary
-// assignment.
+// assignment. Escape drops relays that end up with no primary subscriber,
+// which would break 2-fold coverage, so dropped points come back as
+// pure-backup relays with no primaries.
 func dualZone(sc *scenario.Scenario, zone []int) ([]Relay, error) {
-	disks := make([]geom.Circle, len(zone))
-	for i, s := range zone {
-		disks[i] = sc.Subscribers[s].Circle()
-	}
-	inst := &hitting.Instance{
-		Disks:      disks,
-		Candidates: geom.IntersectionCandidates(disks),
-		Tol:        coverTol,
-	}
-	sol, err := inst.SolveMultiCover(2)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]geom.Point, len(sol.Chosen))
-	for i, c := range sol.Chosen {
-		points[i] = inst.Candidates[c]
-	}
-	// Primary assignment via link escape. Escape drops relays that end up
-	// with no primary subscriber, which would break 2-fold coverage — so
-	// re-add any dropped points as pure-backup relays with no primaries.
-	relays, err := CoverageLinkEscape(sc, zone, points)
+	relays, points, _, err := hittingEscape(sc, zone, 2, hitting.Options{})
 	if err != nil {
 		return nil, err
 	}

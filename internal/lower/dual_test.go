@@ -2,6 +2,7 @@ package lower
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -219,5 +220,73 @@ func TestTheorem1Bound(t *testing.T) {
 		if pro.Total < opt.Total-1e-6 {
 			t.Errorf("seed %d: PRO %v below the LP optimum %v", seed, pro.Total, opt.Total)
 		}
+	}
+}
+
+// countingCache is a ZoneCache that stores entries in a map and counts
+// every call.
+type countingCache struct {
+	entries   map[string]*ZoneEntry
+	gets, put int
+}
+
+func (c *countingCache) Get(key string) (*ZoneEntry, bool, error) {
+	c.gets++
+	e, ok := c.entries[key]
+	return e, ok, nil
+}
+
+func (c *countingCache) Put(key string, e *ZoneEntry) {
+	c.put++
+	if c.entries == nil {
+		c.entries = map[string]*ZoneEntry{}
+	}
+	c.entries[key] = e
+}
+
+// TestHittingSetCoversNeverTouchZoneCache: DistanceCoverage and
+// DualCoverage take SAMCOptions, whose Cache holds SAMC's SNR-slid
+// placements under samcZoneKey. Splicing those into a distance-only or a
+// 2-fold cover would change its answer, so both covers must leave the
+// cache alone and answer as they do without one.
+func TestHittingSetCoversNeverTouchZoneCache(t *testing.T) {
+	sc := testScenario(t, 500, 12, 71)
+	warm := &countingCache{}
+	if _, err := SAMC(context.Background(), sc, SAMCOptions{Cache: warm}); err != nil {
+		t.Fatal(err)
+	}
+	if warm.put == 0 {
+		t.Fatal("SAMC stored no zone; the cache under test is not wired")
+	}
+	cache := &countingCache{entries: warm.entries}
+
+	plain, err := DistanceCoverage(context.Background(), sc, SAMCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := DistanceCoverage(context.Background(), sc, SAMCOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Elapsed, cached.Elapsed = 0, 0
+	if !reflect.DeepEqual(plain, cached) {
+		t.Errorf("DistanceCoverage with a cache differs:\n%+v\n%+v", cached, plain)
+	}
+
+	plainDual, err := DualCoverage(context.Background(), sc, SAMCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedDual, err := DualCoverage(context.Background(), sc, SAMCOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainDual.Elapsed, cachedDual.Elapsed = 0, 0
+	if !reflect.DeepEqual(plainDual, cachedDual) {
+		t.Errorf("DualCoverage with a cache differs:\n%+v\n%+v", cachedDual, plainDual)
+	}
+
+	if cache.gets != 0 || cache.put != 0 {
+		t.Errorf("hitting-set covers made %d Get and %d Put calls, want 0", cache.gets, cache.put)
 	}
 }

@@ -5,8 +5,46 @@ import (
 
 	"sagrelay/internal/geom"
 	"sagrelay/internal/graph"
+	"sagrelay/internal/hitting"
 	"sagrelay/internal/scenario"
 )
+
+// hittingEscape places one zone's relays the way SAMC and the hitting-set
+// covers share: a minimum hitting set over the zone subscribers' feasible
+// circles, with their intersection points and centers as candidates, then
+// Coverage Link Escape (Alg. 3) over the chosen points. demand 1 runs the
+// PTAS under hopts; a larger demand asks for a demand-fold multi-cover. It
+// also returns the chosen points and the hitting-set solution.
+func hittingEscape(sc *scenario.Scenario, zone []int, demand int, hopts hitting.Options) ([]Relay, []geom.Point, *hitting.Solution, error) {
+	disks := make([]geom.Circle, len(zone))
+	for i, s := range zone {
+		disks[i] = sc.Subscribers[s].Circle()
+	}
+	inst := &hitting.Instance{
+		Disks:      disks,
+		Candidates: geom.IntersectionCandidates(disks),
+		Tol:        coverTol,
+	}
+	var sol *hitting.Solution
+	var err error
+	if demand > 1 {
+		sol, err = inst.SolveMultiCover(demand)
+	} else {
+		sol, err = inst.Solve(hopts)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	points := make([]geom.Point, len(sol.Chosen))
+	for i, c := range sol.Chosen {
+		points[i] = inst.Candidates[c]
+	}
+	relays, err := CoverageLinkEscape(sc, zone, points)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return relays, points, sol, nil
+}
 
 // CoverageLinkEscape implements Algorithm 3: given a zone's subscribers and
 // the points of a minimum hitting set, it assigns every subscriber to

@@ -2,7 +2,6 @@ package lower
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"sagrelay/internal/lp"
 	"sagrelay/internal/milp"
 	"sagrelay/internal/obs"
-	"sagrelay/internal/par"
 	"sagrelay/internal/scenario"
 )
 
@@ -69,159 +67,37 @@ func (o ILPOptions) withDefaults() ILPOptions {
 // aborts in-flight branch-and-bound searches between nodes and simplex
 // pivots. The error wraps ctx.Err().
 func IAC(ctx context.Context, sc *scenario.Scenario, opts ILPOptions) (*Result, error) {
-	return solveILP(ctx, sc, opts, "IAC", func(zone []int, disks []geom.Circle) []geom.Point {
-		return geom.IntersectionCandidates(disks)
-	})
+	return solveILP(ctx, sc, opts, "IAC", geom.IntersectionCandidates)
 }
 
 // GAC solves the ILPQC coverage formulation with Grids As Candidates
 // (Fig. 2b): candidate relay positions are the centers of the square grid
 // cells tiling the field; smaller grid sizes give more accurate results at
-// higher cost (Section III-A). Cancellation behaves as in IAC.
+// higher cost (Section III-A). Each zone keeps the grid points that cover
+// one of its subscribers. Cancellation behaves as in IAC.
 func GAC(ctx context.Context, sc *scenario.Scenario, opts ILPOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	gridAll := geom.GridCenters(sc.Field, opts.GridSize)
-	return solveILP(ctx, sc, opts, "GAC", func(zone []int, disks []geom.Circle) []geom.Point {
-		// Restrict the field-wide grid to points that cover some zone
-		// subscriber; the rest cannot appear in any zone-local solution.
-		var pts []geom.Point
-		for _, p := range gridAll {
-			for _, d := range disks {
-				if d.Contains(p, coverTol) {
-					pts = append(pts, p)
-					break
-				}
-			}
-		}
-		return pts
-	})
+	grid := geom.GridCenters(sc.Field, opts.withDefaults().GridSize)
+	return solveILP(ctx, sc, opts, "GAC", func([]geom.Circle) []geom.Point { return grid })
 }
 
-// solveILP runs the shared per-zone ILPQC pipeline with the given candidate
-// construction.
-func solveILP(ctx context.Context, sc *scenario.Scenario, opts ILPOptions, method string, candidatesFor func([]int, []geom.Circle) []geom.Point) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
+// solveILP runs the per-zone ILPQC pipeline with the given candidate
+// construction on zones of at most opts.MaxZoneSS subscribers. A cancelled
+// ctx both stops unstarted zones and aborts in-flight branch-and-bound
+// searches.
+func solveILP(ctx context.Context, sc *scenario.Scenario, opts ILPOptions, method string, candidatesFor func(disks []geom.Circle) []geom.Point) (*Result, error) {
 	opts = opts.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("lower: %s: %w", method, err)
-	}
-	_, zpSpan := obs.StartSpan(ctx, "zone_partition")
-	zones, err := ZonePartition(sc)
-	if err != nil {
-		zpSpan.End()
-		return nil, fmt.Errorf("lower: %s: %w", method, err)
-	}
-	zones = SplitLargeZones(sc, zones, opts.MaxZoneSS)
-	zpSpan.SetInt("zones", int64(len(zones)))
-	zpSpan.End()
-	res := &Result{Method: method, Zones: zones}
-	// The zones are independent ILPQC subproblems: fan them out over the
-	// worker pool, collect each zone's relays into its index-addressed
-	// slot, and concatenate in zone order so the relay list is identical to
-	// a sequential solve. An infeasible zone cancels the remaining ones,
-	// and a cancelled ctx both stops unstarted zones and aborts in-flight
-	// branch-and-bound searches.
-	zoneRelays := make([][]Relay, len(zones))
-	zoneTrunc := make([]bool, len(zones))
-	err = par.ForEachContext(ctx, opts.Workers, len(zones), func(zi int) error {
-		zone := zones[zi]
-		// The captured ctx carries the solve span, so every worker's zone
-		// span lands under the same parent regardless of which goroutine
-		// runs it.
-		zoneStart := time.Now()
-		zCtx, zSpan := obs.StartSpan(ctx, "zone")
-		zSpan.SetInt("index", int64(zi))
-		zSpan.SetInt("subscribers", int64(len(zone)))
-		// Re-arm any installed progress hook with zone identity stamped on
-		// every event, so a consumer watching the whole solve can keep
-		// per-zone convergence rows. The wrapper is built only when a hook
-		// is armed; disarmed solves stay allocation-free.
-		pfn := milp.ProgressFrom(ctx)
-		if pfn != nil {
-			zCtx = milp.WithProgress(zCtx, func(p milp.Progress) {
-				p.Zone = zi
-				p.Subscribers = len(zone)
-				pfn(p)
-			})
-		}
-		var cacheKey string
-		if opts.Cache != nil {
-			cacheKey = ilpZoneKey(sc, zone, method, opts)
-			e, hit, cerr := opts.Cache.Get(cacheKey)
-			if cerr != nil {
-				zSpan.SetAttr("error", cerr.Error())
-				zSpan.End()
-				return cerr
-			}
-			if hit {
-				if relays, ok := globalizeRelays(e.Relays, zone); ok {
-					zSpan.SetBool("cache_hit", true)
-					zSpan.SetInt("relays", int64(len(relays)))
-					zSpan.End()
-					zoneSolveSeconds.Observe(time.Since(zoneStart).Seconds())
-					zoneRelays[zi] = relays
-					if pfn != nil {
-						pfn(milp.Progress{
-							Kind:        milp.KindZoneReused,
-							Zone:        zi,
-							Subscribers: len(zone),
-							Final:       true,
-						})
-					}
-					return nil
-				}
-			}
-		}
+	m := zoneMethod{name: method, maxSS: opts.MaxZoneSS, workers: opts.Workers, solve: func(ctx context.Context, zone []int, _ *obs.Span) ([]Relay, bool, error) {
 		disks := make([]geom.Circle, len(zone))
 		for i, s := range zone {
 			disks[i] = sc.Subscribers[s].Circle()
 		}
-		relays, mres, err := solveZoneILP(zCtx, sc, zone, disks, candidatesFor(zone, disks), opts)
-		zSpan.End()
-		zoneSolveSeconds.Observe(time.Since(zoneStart).Seconds())
-		if err != nil {
-			zSpan.SetAttr("error", err.Error())
-			return err
-		}
-		truncated := mres != nil && mres.DeadlineHit
-		zSpan.SetInt("relays", int64(len(relays)))
-		if truncated {
-			zSpan.SetBool("truncated", true)
-		}
-		if opts.Cache != nil && mres != nil {
-			if local, ok := localizeRelays(relays, zone); ok {
-				opts.Cache.Put(cacheKey, &ZoneEntry{Relays: local, Truncated: truncated})
-			}
-		}
-		zoneRelays[zi] = relays
-		zoneTrunc[zi] = truncated
-		return nil
-	})
-	if err != nil {
-		// ErrZoneDeadline deliberately falls through to the error return:
-		// "out of wall-clock before any incumbent" is load-dependent and must
-		// not be reported as (cacheable, deterministic) infeasibility.
-		if errors.Is(err, ErrInfeasible) {
-			res.Feasible = false
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		return nil, fmt.Errorf("lower: %s: %w", method, err)
+		relays, mres, err := solveZoneILP(ctx, sc, zone, disks, candidatesFor(disks), opts)
+		return relays, mres != nil && mres.DeadlineHit, err
+	}}
+	if opts.Cache != nil {
+		m.cache, m.key = opts.Cache, func(zone []int) string { return ilpZoneKey(sc, zone, method, opts) }
 	}
-	for zi, relays := range zoneRelays {
-		res.Relays = append(res.Relays, relays...)
-		res.Truncated = res.Truncated || zoneTrunc[zi]
-	}
-	res.Feasible = true
-	res.AssignOf, err = buildAssign(sc.NumSS(), res.Relays)
-	if err != nil {
-		return nil, fmt.Errorf("lower: %s: %w", method, err)
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return solveZones(ctx, sc, m)
 }
 
 // solveZoneILP builds and solves the ILPQC for one zone.
@@ -242,9 +118,6 @@ func solveILP(ctx context.Context, sc *scenario.Scenario, opts ILPOptions, metho
 // the relay at i serves j, so the total received power minus the serving
 // signal must be at most signal/beta.
 func solveZoneILP(ctx context.Context, sc *scenario.Scenario, zone []int, disks []geom.Circle, candidates []geom.Point, opts ILPOptions) (relays []Relay, mres *milp.Result, err error) {
-	if len(zone) == 0 {
-		return nil, nil, nil
-	}
 	// Keep only candidates that cover at least one subscriber.
 	var cands []geom.Point
 	for _, p := range candidates {

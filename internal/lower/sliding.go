@@ -41,18 +41,7 @@ type slidingState struct {
 //
 // The relays slice is not modified; a copy is returned.
 func SlidingMovement(sc *scenario.Scenario, relays []Relay) ([]Relay, bool) {
-	st := &slidingState{
-		sc:        sc,
-		beta:      sc.Beta(),
-		relays:    cloneRelays(relays),
-		servingOf: make(map[int]int),
-		final:     make([]bool, len(relays)),
-	}
-	for r, relay := range st.relays {
-		for _, s := range relay.Covers {
-			st.servingOf[s] = r
-		}
-	}
+	st := newSlidingState(sc, cloneRelays(relays))
 	// Step 2: one-on-one relays move onto their subscriber and are
 	// finalized (added to H, removed from further consideration).
 	for r := range st.relays {
@@ -72,6 +61,24 @@ func SlidingMovement(sc *scenario.Scenario, relays []Relay) ([]Relay, bool) {
 		return st.relays, true
 	}
 	return nil, false
+}
+
+// newSlidingState indexes which relay serves each covered subscriber. It
+// works on relays in place, without a copy.
+func newSlidingState(sc *scenario.Scenario, relays []Relay) slidingState {
+	st := slidingState{
+		sc:        sc,
+		beta:      sc.Beta(),
+		relays:    relays,
+		servingOf: make(map[int]int),
+		final:     make([]bool, len(relays)),
+	}
+	for r, relay := range relays {
+		for _, s := range relay.Covers {
+			st.servingOf[s] = r
+		}
+	}
+	return st
 }
 
 // violatedSubscribers returns the zone subscribers whose Definition 2 SNR

@@ -1,7 +1,9 @@
 package lower
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sagrelay/internal/graph"
 	"sagrelay/internal/scenario"
@@ -84,23 +86,15 @@ func SplitLargeZones(sc *scenario.Scenario, zones [][]int, maxSS int) [][]int {
 			}
 		}
 		byX := maxX-minX >= maxY-minY
-		// Median split: sort group by the chosen coordinate.
+		// Median split: stable-sort group by the chosen coordinate.
 		sorted := append([]int(nil), group...)
-		for i := 1; i < len(sorted); i++ { // insertion sort: groups are small
-			for k := i; k > 0; k-- {
-				a, b := sc.Subscribers[sorted[k-1]].Pos, sc.Subscribers[sorted[k]].Pos
-				var less bool
-				if byX {
-					less = b.X < a.X
-				} else {
-					less = b.Y < a.Y
-				}
-				if !less {
-					break
-				}
-				sorted[k-1], sorted[k] = sorted[k], sorted[k-1]
+		slices.SortStableFunc(sorted, func(a, b int) int {
+			pa, pb := sc.Subscribers[a].Pos, sc.Subscribers[b].Pos
+			if byX {
+				return cmp.Compare(pa.X, pb.X)
 			}
-		}
+			return cmp.Compare(pa.Y, pb.Y)
+		})
 		mid := len(sorted) / 2
 		split(sorted[:mid])
 		split(sorted[mid:])

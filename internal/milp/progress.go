@@ -18,7 +18,9 @@ const (
 	KindIncumbent = "incumbent"
 	// KindFinal is emitted exactly once per successful solve, after the
 	// search has settled Result.Status. Error returns (cancellation, fault
-	// injection, numerical breakdown) emit nothing final.
+	// injection, numerical breakdown) emit nothing final. internal/lower
+	// also emits one, with a zero Status and zero counters, for each zone
+	// it solved without a search (SAMC and the hitting-set covers).
 	KindFinal = "final"
 	// KindZoneReused is emitted by callers that satisfy a whole sub-solve
 	// from a cache instead of running the search (see internal/lower's
@@ -55,7 +57,8 @@ type Progress struct {
 	Bound        float64
 	Gap          float64
 
-	// Status is set only on Final events.
+	// Status is set only on Final events, and is zero on the final event of
+	// a zone solved without a search.
 	Status Status
 	Final  bool
 }

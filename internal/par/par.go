@@ -86,6 +86,9 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) e
 		stop atomic.Bool
 		errs = make([]error, n)
 		wg   sync.WaitGroup
+		// Workers capture this copy: capturing the reassigned ctx parameter
+		// would move it to the heap on every call, inline path included.
+		wctx = ctx
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -93,7 +96,7 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) e
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || stop.Load() || ctx.Err() != nil {
+				if i >= n || stop.Load() || wctx.Err() != nil {
 					return
 				}
 				if err := callTask(fn, i); err != nil {

@@ -143,7 +143,11 @@ func (p *jobProgress) observe(ev milp.Progress) {
 		}
 		if ev.Final {
 			row.Phase = "done"
-			row.Status = ev.Status.String()
+			// A zone solved without a B&B search (SAMC, the hitting-set
+			// covers) closes with a zero Status: it has none to report.
+			if ev.Status != 0 {
+				row.Status = ev.Status.String()
+			}
 		} else {
 			row.Phase = "solving"
 		}

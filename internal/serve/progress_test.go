@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sagrelay/internal/geom"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/scenario"
 )
@@ -186,18 +187,52 @@ func TestProgressSnapshotAndCacheHit(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	job := submitAndWait(t, s, tinyScenario(t), SolveOptions{Coverage: "IAC"})
-	var doc progressDoc
-	getJSON(t, ts.URL+"/v1/jobs/"+job.ID+"/progress", &doc)
-	if !doc.Final || doc.Schema != progressSchema {
-		t.Fatalf("finished job snapshot: %+v", doc)
+	// Every finished solver job, plain or resolve, ends with each zone row
+	// done or reused, whatever its coverage method. Only a row a B&B search
+	// ran carries a B&B status, and it keeps the search's nodes.
+	sc := clusteredBase(t)
+	samc := submitAndWait(t, s, sc, SolveOptions{})
+	resolve, err := s.Resolve(ResolveRequest{
+		BaseJob: samc.ID,
+		Delta:   moveDelta(sc.Subscribers[0].ID, geom.Point{X: sc.Subscribers[0].Pos.X + 6, Y: sc.Subscribers[0].Pos.Y + 5}),
+	})
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
 	}
-	if doc.ZonesSeen == 0 {
-		t.Fatal("finished job snapshot has no zones")
-	}
-	for _, row := range doc.Zones {
-		if row.Phase != "done" && row.Phase != "reused" {
-			t.Errorf("zone %d phase %q after completion", row.Zone, row.Phase)
+	waitDone(t, resolve, 60*time.Second)
+	for _, tc := range []struct {
+		name string
+		job  *Job
+		bnb  bool
+	}{
+		{"IAC", submitAndWait(t, s, tinyScenario(t), SolveOptions{Coverage: "IAC"}), true},
+		{"SAMC", samc, false},
+		{"SAMC resolve", resolve, false},
+	} {
+		var doc progressDoc
+		getJSON(t, ts.URL+"/v1/jobs/"+tc.job.ID+"/progress", &doc)
+		if !doc.Final || doc.Schema != progressSchema {
+			t.Fatalf("%s: finished job snapshot: %+v", tc.name, doc)
+		}
+		if doc.ZonesSeen == 0 || doc.ZonesDone != doc.ZonesSeen {
+			t.Errorf("%s: %d of %d zones done after completion", tc.name, doc.ZonesDone, doc.ZonesSeen)
+		}
+		for _, row := range doc.Zones {
+			switch {
+			case row.Phase == "reused":
+				if row.Status != "" || row.Nodes != 0 {
+					t.Errorf("%s: reused zone %d carries status %q, %d nodes", tc.name, row.Zone, row.Status, row.Nodes)
+				}
+			case row.Phase != "done":
+				t.Errorf("%s: zone %d phase %q after completion", tc.name, row.Zone, row.Phase)
+			case tc.bnb && (row.Status == "" || row.Nodes == 0):
+				t.Errorf("%s: zone %d lost its B&B status %q or nodes %d", tc.name, row.Zone, row.Status, row.Nodes)
+			case !tc.bnb && (row.Status != "" || row.Nodes != 0):
+				t.Errorf("%s: zone %d ran no B&B yet carries status %q, %d nodes", tc.name, row.Zone, row.Status, row.Nodes)
+			}
+		}
+		if tc.job == resolve && doc.Reused == 0 {
+			t.Errorf("%s: no zone reused: %+v", tc.name, doc)
 		}
 	}
 
