@@ -207,7 +207,7 @@ func BenchmarkPRO30(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lower.PRO(context.Background(), sc, cover, nil); err != nil {
+		if _, err := lower.PRO(context.Background(), sc, cover); err != nil {
 			b.Fatal(err)
 		}
 	}

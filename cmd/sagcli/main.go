@@ -11,9 +11,9 @@
 //	sagcli -base sc.json -delta d.json                # incremental re-solve
 //	sagcli -base sc.json -delta d.json -save sc2.json # apply delta + save
 //
-// With -base and -delta the base scenario is solved first to warm the
-// zone-level stores, then the mutated scenario is solved through them, so
-// unchanged zones splice from cache; the reuse counts go to stderr. The
+// With -base and -delta the base scenario is solved first to warm the zone
+// store of coverage placements, then the mutated scenario is solved through
+// it, so unchanged zones splice their placements from cache; the reuse counts go to stderr. The
 // result is byte-identical to solving the mutated scenario alone.
 package main
 
@@ -153,8 +153,9 @@ func run(args []string) error {
 	ctx, cancel := solveContext(*timeout)
 	defer cancel()
 
-	// Incremental mode: solve the base first through fresh zone-level
-	// stores, then let the mutated solve splice every unchanged zone.
+	// Incremental mode: solve the base first through a fresh zone store,
+	// then let the mutated solve splice every unchanged zone's placement;
+	// power and connectivity always run.
 	var reused0, resolved0 int64
 	if warm != nil {
 		incr.NewStores(0).Wire(&cfg)

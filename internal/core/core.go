@@ -153,28 +153,6 @@ type Config struct {
 	// passes its shutdown signal here; a nil channel preserves the plain
 	// deadline-detached behaviour.
 	HardStop <-chan struct{}
-	// ZonePowerCache, when non-nil, lets PRO (the green coverage-power
-	// stage and the LPQC fallback) reuse per-zone power blocks; a splice is
-	// bit-identical to sweeping the zone again (see lower.PRO).
-	ZonePowerCache lower.ZonePowerCache
-	// UpperCache, when non-nil, caches the whole connectivity stage (tree +
-	// power) keyed by upper.CacheKey: when a re-solve leaves the coverage
-	// relay set unchanged, both upper stages are spliced from cache instead
-	// of re-run. Degraded upper results are never stored.
-	UpperCache UpperCache
-}
-
-// UpperEntry is one cached connectivity-stage outcome: the tree and its
-// power allocation, both treated as immutable shared values.
-type UpperEntry struct {
-	Conn  *upper.Result
-	Power *upper.PowerAllocation
-}
-
-// UpperCache caches connectivity-stage results by upper.CacheKey.
-type UpperCache interface {
-	Get(key string) (*UpperEntry, bool)
-	Put(key string, e *UpperEntry)
 }
 
 func (c Config) withDefaults() Config {
@@ -440,7 +418,7 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 		case PowerBaseline:
 			return lower.BaselinePower(sc, cover), nil
 		case PowerGreen:
-			return lower.PRO(c, sc, cover, cfg.ZonePowerCache)
+			return lower.PRO(c, sc, cover)
 		case PowerOptimal:
 			return lower.OptimalPower(c, sc, cover)
 		default:
@@ -453,7 +431,7 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 	case PowerOptimal:
 		powerLadder = "coverage power: LPQC -> PRO"
 		powerFallback = traced("coverage_power_fallback", func(c context.Context) (*lower.PowerAllocation, error) {
-			return lower.PRO(c, sc, cover, cfg.ZonePowerCache)
+			return lower.PRO(c, sc, cover)
 		})
 	case PowerGreen:
 		powerLadder = "coverage power: PRO -> baseline"
@@ -467,75 +445,48 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 	}
 	sol.degrade(powerLadder, powerReason)
 
-	// Connectivity + connectivity power: the upper tier's inputs are fully
-	// captured by upper.CacheKey (method, model, base stations, demands,
-	// and the coverage relay set), so when an UpperCache is configured and
-	// holds the key, both stages are spliced verbatim — the tree and power
-	// algorithms are deterministic, so the splice is byte-identical to
-	// re-running them. The key changes whenever the relay set changes,
-	// which is the only way a scenario delta can reach the upper tier.
-	var (
-		conn      *upper.Result
-		connPower *upper.PowerAllocation
-	)
-	upperKey := ""
-	spliced := false
-	if cfg.UpperCache != nil {
-		upperKey = upper.CacheKey(sc, cover, cfg.Connectivity.String(), cfg.MUSTBaseStation, cfg.ConnectivityPower.String())
-		if e, ok := cfg.UpperCache.Get(upperKey); ok && e != nil && e.Conn != nil && e.Power != nil {
-			conn, connPower = e.Conn, e.Power
-			spliced = true
-			span.SetBool("upper_splice", true)
+	// Connectivity: MBMC/MUST are cheap tree constructions with no cheaper
+	// substitute, so the ladder has no fallback here — only the retry (which
+	// detaches from a blown deadline) applies.
+	connRun := traced("connectivity", func(c context.Context) (*upper.Result, error) {
+		switch cfg.Connectivity {
+		case ConnMBMC:
+			return upper.MBMC(c, sc, cover)
+		case ConnMUST:
+			return upper.MUST(c, sc, cover, cfg.MUSTBaseStation)
+		default:
+			return nil, fmt.Errorf("core: unknown connectivity method %v", cfg.Connectivity)
 		}
+	})
+	conn, _, err := degradeRun(l, connRun, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: connectivity: %w", err)
 	}
-	if !spliced {
-		// Connectivity: MBMC/MUST are cheap tree constructions with no cheaper
-		// substitute, so the ladder has no fallback here — only the retry (which
-		// detaches from a blown deadline) applies.
-		connRun := traced("connectivity", func(c context.Context) (*upper.Result, error) {
-			switch cfg.Connectivity {
-			case ConnMBMC:
-				return upper.MBMC(c, sc, cover)
-			case ConnMUST:
-				return upper.MUST(c, sc, cover, cfg.MUSTBaseStation)
-			default:
-				return nil, fmt.Errorf("core: unknown connectivity method %v", cfg.Connectivity)
-			}
-		})
-		conn, _, err = degradeRun(l, connRun, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: connectivity: %w", err)
-		}
 
-		// Connectivity power: UCPO degrades to the max-power baseline.
-		connPowerRun := traced("connectivity_power", func(c context.Context) (*upper.PowerAllocation, error) {
-			switch cfg.ConnectivityPower {
-			case PowerBaseline:
-				return upper.BaselinePower(sc, conn), nil
-			case PowerGreen:
-				return upper.UCPO(c, sc, cover, conn)
-			case PowerOptimal:
-				return nil, errors.New("core: optimal power is only defined for the lower tier (LPQC)")
-			default:
-				return nil, fmt.Errorf("core: unknown connectivity power method %v", cfg.ConnectivityPower)
-			}
+	// Connectivity power: UCPO degrades to the max-power baseline.
+	connPowerRun := traced("connectivity_power", func(c context.Context) (*upper.PowerAllocation, error) {
+		switch cfg.ConnectivityPower {
+		case PowerBaseline:
+			return upper.BaselinePower(sc, conn), nil
+		case PowerGreen:
+			return upper.UCPO(c, sc, cover, conn)
+		case PowerOptimal:
+			return nil, errors.New("core: optimal power is only defined for the lower tier (LPQC)")
+		default:
+			return nil, fmt.Errorf("core: unknown connectivity power method %v", cfg.ConnectivityPower)
+		}
+	})
+	var connPowerFallback func(context.Context) (*upper.PowerAllocation, error)
+	if cfg.ConnectivityPower == PowerGreen {
+		connPowerFallback = traced("connectivity_power_fallback", func(context.Context) (*upper.PowerAllocation, error) {
+			return upper.BaselinePower(sc, conn), nil
 		})
-		var connPowerFallback func(context.Context) (*upper.PowerAllocation, error)
-		if cfg.ConnectivityPower == PowerGreen {
-			connPowerFallback = traced("connectivity_power_fallback", func(context.Context) (*upper.PowerAllocation, error) {
-				return upper.BaselinePower(sc, conn), nil
-			})
-		}
-		var connPowerReason string
-		connPower, connPowerReason, err = degradeRun(l, connPowerRun, connPowerFallback)
-		if err != nil {
-			return nil, fmt.Errorf("core: connectivity power: %w", err)
-		}
-		sol.degrade("connectivity power: UCPO -> baseline", connPowerReason)
-		if cfg.UpperCache != nil && connPowerReason == "" {
-			cfg.UpperCache.Put(upperKey, &UpperEntry{Conn: conn, Power: connPower})
-		}
 	}
+	connPower, connPowerReason, err := degradeRun(l, connPowerRun, connPowerFallback)
+	if err != nil {
+		return nil, fmt.Errorf("core: connectivity power: %w", err)
+	}
+	sol.degrade("connectivity power: UCPO -> baseline", connPowerReason)
 
 	sol.Feasible = true
 	sol.Coverage = cover

@@ -261,7 +261,7 @@ func figPRO(id, title string, side float64, users []int, cfg Config) (*Table, er
 			return nil
 		}
 		samples[pi][0][r] = lower.BaselinePower(sc, res).Total
-		pro, err := lower.PRO(cfg.ctx(), sc, res, nil)
+		pro, err := lower.PRO(cfg.ctx(), sc, res)
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,13 @@
 // Package incr is the incremental re-solve engine: it turns "the same field
 // again, slightly changed" from a full-pipeline solve into a splice of
-// cached per-zone work plus re-solves of only the dirty zones.
+// cached zone placements plus coverage re-solves of only the dirty zones.
+// The power and connectivity stages always run: they cost no more than
+// hashing their inputs would.
 //
 // The design leans entirely on content addressing rather than explicit
 // invalidation. The zone partition (Alg. 2) makes zones independent
-// subproblems, so every per-zone artifact — coverage placement, PRO power
-// block, and the whole upper tier keyed by the relay set — is cached under
-// a canonical hash of exactly its inputs. Applying a scenario delta and
+// subproblems, so each zone's coverage placement is cached under a
+// canonical hash of exactly its inputs. Applying a scenario delta and
 // re-solving through the same caches then reuses every zone whose inputs
 // are unchanged *mechanically*: a mutation that moves a subscriber, splits
 // a zone, or merges two zones simply produces zones whose hashes miss.
@@ -16,7 +17,7 @@
 // hits splice values a cold solve would have recomputed bit-identically.
 //
 // The Planner (Plan) computes the dirty set anyway — by diffing the base
-// and mutated partitions' coverage-variant zone hashes — for observability
+// and mutated partitions' zone hashes — for observability
 // (the dirty-fraction histogram, span attributes, per-zone progress rows).
 package incr
 

@@ -24,10 +24,10 @@ type PlanOptions struct {
 // mechanically, so a Plan is never needed for correctness.
 type Plan struct {
 	// TotalZones and DirtyZones count the mutated scenario's zones and the
-	// subset whose coverage-variant inputs differ from every base zone
-	// (including zones created or reshaped by a partition change: a zone
-	// that splits, merges, or shifts membership hashes differently on both
-	// sides and is conservatively counted dirty).
+	// subset whose coverage inputs differ from every base zone (including
+	// zones created or reshaped by a partition change: a zone that splits,
+	// merges, or shifts membership hashes differently on both sides and is
+	// conservatively counted dirty).
 	TotalZones int
 	DirtyZones int
 	// DirtyFraction is DirtyZones/TotalZones (0 for an empty partition).
@@ -40,9 +40,9 @@ type Plan struct {
 	ZoneSizes []int
 }
 
-// Plan partitions both scenarios the way the solve will, diffs the
-// coverage-variant zone hashes, and records the dirty fraction on the
-// sag_incr_dirty_fraction histogram.
+// Plan partitions both scenarios the way the solve will, diffs the zone
+// hashes, and records the dirty fraction on the sag_incr_dirty_fraction
+// histogram.
 func (s *Stores) Plan(base, mutated *scenario.Scenario, opts PlanOptions) (*Plan, error) {
 	baseZones, err := partitionOf(base, opts)
 	if err != nil {
@@ -56,7 +56,7 @@ func (s *Stores) Plan(base, mutated *scenario.Scenario, opts PlanOptions) (*Plan
 	// reuses, no more.
 	baseHashes := make(map[string]int, len(baseZones))
 	for _, z := range baseZones {
-		baseHashes[base.CanonicalZoneHash(z, scenario.ZoneHashCoverage)]++
+		baseHashes[base.CanonicalZoneHash(z)]++
 	}
 	p := &Plan{
 		TotalZones: len(mutZones),
@@ -65,7 +65,7 @@ func (s *Stores) Plan(base, mutated *scenario.Scenario, opts PlanOptions) (*Plan
 	}
 	for zi, z := range mutZones {
 		p.ZoneSizes[zi] = len(z)
-		h := mutated.CanonicalZoneHash(z, scenario.ZoneHashCoverage)
+		h := mutated.CanonicalZoneHash(z)
 		if baseHashes[h] > 0 {
 			baseHashes[h]--
 			continue

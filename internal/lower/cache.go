@@ -51,14 +51,6 @@ type ZoneCache interface {
 	Put(key string, e *ZoneEntry)
 }
 
-// ZonePowerCache caches per-zone PRO power blocks (see PRO). Values
-// are relay-power slices in zone-relay order; implementations must copy on
-// Put and treat stored slices as immutable.
-type ZonePowerCache interface {
-	GetPower(key string) ([]float64, bool)
-	PutPower(key string, powers []float64)
-}
-
 // keyBuf builds canonical key bytes: labeled fields, exact hex floats.
 type keyBuf struct{ bytes.Buffer }
 
@@ -84,7 +76,7 @@ func (b *keyBuf) hash() string {
 }
 
 // ilpZoneKey content-addresses one zone's ILPQC solve: method, the
-// determinism-relevant options, and the coverage-variant zone bytes.
+// determinism-relevant options, and the zone bytes.
 func ilpZoneKey(sc *scenario.Scenario, zone []int, method string, opts ILPOptions) string {
 	var b keyBuf
 	b.WriteString("sagzonekey/ilp/1\n")
@@ -92,7 +84,7 @@ func ilpZoneKey(sc *scenario.Scenario, zone []int, method string, opts ILPOption
 	b.WriteByte('\n')
 	b.field("grid", opts.GridSize)
 	b.count("maxnodes", opts.MaxNodes)
-	b.Write(sc.CanonicalZoneBytes(zone, scenario.ZoneHashCoverage))
+	b.Write(sc.CanonicalZoneBytes(zone))
 	return b.hash()
 }
 
@@ -108,31 +100,7 @@ func samcZoneKey(sc *scenario.Scenario, zone []int, opts SAMCOptions) string {
 	if opts.SkipSliding {
 		b.count("skipsliding", 1)
 	}
-	b.Write(sc.CanonicalZoneBytes(zone, scenario.ZoneHashCoverage))
-	return b.hash()
-}
-
-// powerZoneKey content-addresses one zone's PRO power block. The block's
-// trajectory depends only on the zone's own relays (positions and covered
-// subscribers' positions and receive-power floors), the radio model, PMax,
-// and the SNR threshold — cross-zone relays never interact — so the key
-// encodes exactly those, independent of the coverage method that produced
-// the placement.
-func powerZoneKey(sc *scenario.Scenario, relays []Relay) string {
-	var b keyBuf
-	b.WriteString("sagzonekey/pro/1\n")
-	b.field("model", sc.Model.Gt, sc.Model.Gr, sc.Model.Ht, sc.Model.Hr, sc.Model.Alpha, sc.Model.MinDist)
-	b.field("pmax", sc.PMax)
-	b.field("snrdb", sc.SNRThresholdDB)
-	b.count("relays", len(relays))
-	for _, r := range relays {
-		b.field("r", r.Pos.X, r.Pos.Y)
-		b.count("covers", len(r.Covers))
-		for _, j := range r.Covers {
-			s := sc.Subscribers[j]
-			b.field("c", s.Pos.X, s.Pos.Y, s.MinRxPower)
-		}
-	}
+	b.Write(sc.CanonicalZoneBytes(zone))
 	return b.hash()
 }
 

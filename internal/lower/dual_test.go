@@ -194,7 +194,7 @@ func TestTheorem1Bound(t *testing.T) {
 		if err != nil || !res.Feasible {
 			continue
 		}
-		pro, err := PRO(context.Background(), sc, res, nil)
+		pro, err := PRO(context.Background(), sc, res)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,7 +269,7 @@ func TestPROReducesPower(t *testing.T) {
 		t.Fatalf("SAMC failed: %v feasible=%v", err, res != nil && res.Feasible)
 	}
 	base := BaselinePower(sc, res)
-	pro, err := PRO(context.Background(), sc, res, nil)
+	pro, err := PRO(context.Background(), sc, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestOptimalPowerIsLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pro, err := PRO(context.Background(), sc, res, nil)
+	pro, err := PRO(context.Background(), sc, res)
 	if err != nil {
 		t.Fatal(err)
 	}

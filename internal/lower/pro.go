@@ -151,13 +151,9 @@ func (ctx *powerContext) psnr(i int, powers []float64) float64 {
 // Total is summed in relay order. When the relays are not grouped by zone,
 // one block [0, n) runs the global sweep itself.
 //
-// A non-nil cache is consulted for each zone block before sweeping it and
-// handed every block swept; a hit splices the cached powers, which is
-// bit-identical to sweeping again. A nil cache skips the key hashing.
-//
 // Cancellation is cooperative: the relaxation sweep checks cctx once per
 // round, so a cancelled context aborts within one O(relays²) pass.
-func PRO(cctx context.Context, sc *scenario.Scenario, res *Result, cache ZonePowerCache) (*PowerAllocation, error) {
+func PRO(cctx context.Context, sc *scenario.Scenario, res *Result) (*PowerAllocation, error) {
 	if cctx == nil {
 		cctx = context.Background()
 	}
@@ -171,34 +167,19 @@ func PRO(cctx context.Context, sc *scenario.Scenario, res *Result, cache ZonePow
 	n := len(res.Relays)
 	blocks, ok := zoneBlocks(ctx)
 	if !ok {
-		// The power cache key covers one zone's relays only, not the zone
-		// structure an ungrouped sweep depends on: never cache it.
-		blocks, cache = []block{{lo: 0, hi: n}}, nil
+		blocks = []block{{lo: 0, hi: n}}
 	}
 	span.SetInt("zones", int64(len(blocks)))
 	powers := make([]float64, n)
-	rounds, reused := 0, 0
+	rounds := 0
 	for _, blk := range blocks {
-		var key string
-		if cache != nil {
-			key = powerZoneKey(sc, res.Relays[blk.lo:blk.hi])
-			if cached, hit := cache.GetPower(key); hit && len(cached) == blk.hi-blk.lo {
-				copy(powers[blk.lo:blk.hi], cached)
-				reused++
-				continue
-			}
-		}
 		r, err := ctx.proBlock(cctx, blk.lo, blk.hi, powers)
 		if err != nil {
 			return nil, err
 		}
 		rounds += r
-		if cache != nil {
-			cache.PutPower(key, append([]float64(nil), powers[blk.lo:blk.hi]...))
-		}
 	}
 	span.SetInt("rounds", int64(rounds))
-	span.SetInt("zones_reused", int64(reused))
 	alloc := &PowerAllocation{Powers: powers, Method: "PRO"}
 	for _, p := range powers {
 		alloc.Total += p

@@ -78,16 +78,6 @@ func globalPRO(sc *scenario.Scenario, res *Result) (*PowerAllocation, error) {
 	return alloc, VerifyPower(sc, res, powers)
 }
 
-// mapPowerCache is a ZonePowerCache over a plain map.
-type mapPowerCache map[string][]float64
-
-func (m mapPowerCache) GetPower(key string) ([]float64, bool) {
-	p, ok := m[key]
-	return p, ok
-}
-
-func (m mapPowerCache) PutPower(key string, powers []float64) { m[key] = powers }
-
 // reversedRelays returns res with its relay list reversed, so the relays of
 // a multi-zone result are no longer grouped in zone order.
 func reversedRelays(res *Result) *Result {
@@ -147,8 +137,7 @@ func relayPerSubscriber(t *testing.T, sc *scenario.Scenario, rng *rand.Rand) *Re
 // TestPROMatchesGlobalSweep checks PRO's zone decomposition against the
 // global sweep bit for bit: on seeded SAMC and IAC placements, on one relay
 // per subscriber under a strict threshold (where the SNR rows bind), on each
-// of those without zones and with relays not grouped by zone, and through a
-// power cache, cold and fully spliced.
+// of those without zones and with relays not grouped by zone.
 func TestPROMatchesGlobalSweep(t *testing.T) {
 	ctx := context.Background()
 	ilp := ILPOptions{MaxNodes: 50, TimeLimit: time.Hour, Workers: 1}
@@ -186,7 +175,7 @@ func TestPROMatchesGlobalSweep(t *testing.T) {
 			}{{"zoned", c.res}, {"no zones", &noZones}, {"reversed", rev}} {
 				label := c.name + " " + v.name
 				want, werr := globalPRO(c.sc, v.res)
-				got, err := PRO(ctx, c.sc, v.res, nil)
+				got, err := PRO(ctx, c.sc, v.res)
 				if werr != nil || err != nil {
 					// An allocation no sweep can make valid: both must say so.
 					if werr == nil || err == nil {
@@ -195,14 +184,6 @@ func TestPROMatchesGlobalSweep(t *testing.T) {
 					continue
 				}
 				requireSameBits(t, label, got, want)
-				cache := mapPowerCache{}
-				for pass := 0; pass < 2; pass++ {
-					cached, err := PRO(ctx, c.sc, v.res, cache)
-					if err != nil {
-						t.Fatalf("seed %d %s: %v", seed, label, err)
-					}
-					requireSameBits(t, label+" cached", cached, want)
-				}
 				pctx := mustPowerContext(t, c.sc, v.res)
 				for i, p := range want.Powers {
 					if p != pctx.pmin[i] {
@@ -271,7 +252,7 @@ func TestOptimalPowerVerifies(t *testing.T) {
 				t.Errorf("%s: relay %d serves subscriber %d at power %v", c.name, a, c.servedSS, opt.Powers[a])
 			}
 		}
-		pro, err := PRO(ctx, sc, res, nil)
+		pro, err := PRO(ctx, sc, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +286,7 @@ func TestPROCheckMatchesVerifyPower(t *testing.T) {
 			if !c.res.Feasible {
 				continue
 			}
-			pro, err := PRO(ctx, c.sc, c.res, nil)
+			pro, err := PRO(ctx, c.sc, c.res)
 			if err != nil {
 				continue // no valid allocation exists; TestPROMatchesGlobalSweep covers it
 			}

@@ -1,6 +1,6 @@
 // Package lru is the repository's one bounded least-recently-used map: the
 // solve service's result cache and scenario retention, the zone-level
-// incremental stores and the rate limiter's bucket table are all instances
+// incremental store and the rate limiter's bucket table are all instances
 // of Cache.
 package lru
 

@@ -251,10 +251,10 @@ func TestZoneHashVariants(t *testing.T) {
 	zone := []int{0, 2, 4}
 
 	// Stable under re-hashing, sensitive to membership and order.
-	if sc.CanonicalZoneHash(zone, ZoneHashCoverage) != sc.CanonicalZoneHash(zone, ZoneHashCoverage) {
+	if sc.CanonicalZoneHash(zone) != sc.CanonicalZoneHash(zone) {
 		t.Fatal("zone hash not deterministic")
 	}
-	if sc.CanonicalZoneHash(zone, ZoneHashCoverage) == sc.CanonicalZoneHash([]int{0, 2, 5}, ZoneHashCoverage) {
+	if sc.CanonicalZoneHash(zone) == sc.CanonicalZoneHash([]int{0, 2, 5}) {
 		t.Fatal("different membership, same hash")
 	}
 
@@ -263,24 +263,21 @@ func TestZoneHashVariants(t *testing.T) {
 	for i := range renum.Subscribers {
 		renum.Subscribers[i].ID += 1000
 	}
-	if sc.CanonicalZoneHash(zone, ZoneHashCoverage) != renum.CanonicalZoneHash(zone, ZoneHashCoverage) {
+	if sc.CanonicalZoneHash(zone) != renum.CanonicalZoneHash(zone) {
 		t.Fatal("ID renumbering changed the coverage zone hash")
 	}
 
-	// MinRxPower matters to the full variant only.
+	// Coverage placement never reads MinRxPower, so neither does the hash.
 	bumped := sc.clone()
 	bumped.Subscribers[2].MinRxPower *= 2
-	if sc.CanonicalZoneHash(zone, ZoneHashCoverage) != bumped.CanonicalZoneHash(zone, ZoneHashCoverage) {
-		t.Fatal("MinRxPower changed the coverage-variant hash")
-	}
-	if sc.CanonicalZoneHash(zone, ZoneHashFull) == bumped.CanonicalZoneHash(zone, ZoneHashFull) {
-		t.Fatal("MinRxPower did not change the full-variant hash")
+	if sc.CanonicalZoneHash(zone) != bumped.CanonicalZoneHash(zone) {
+		t.Fatal("MinRxPower changed the coverage zone hash")
 	}
 
 	// A subscriber outside the zone is invisible to the zone hash.
 	other := sc.clone()
 	other.Subscribers[1].Pos.X += 17
-	if sc.CanonicalZoneHash(zone, ZoneHashFull) != other.CanonicalZoneHash(zone, ZoneHashFull) {
+	if sc.CanonicalZoneHash(zone) != other.CanonicalZoneHash(zone) {
 		t.Fatal("non-member change affected the zone hash")
 	}
 }

@@ -19,10 +19,8 @@ import (
 //     in the subscriber list (because an unrelated subscriber was removed)
 //     still hashes the same, which is exactly what makes zone-level reuse
 //     effective under deltas.
-//   - The traffic dimension is selectable. Coverage placement (SAMC/IAC/GAC)
-//     never reads MinRxPower, so the coverage-variant hash excludes it and a
-//     pure receive-power change leaves coverage caches warm; the full
-//     variant includes it for consumers that key power allocations.
+//   - MinRxPower is left out. Coverage placement (SAMC/IAC/GAC) never reads
+//     it, so a pure receive-power change leaves coverage caches warm.
 //
 // Globals that parameterize every zone solve (field, model, PMax, SNR
 // threshold, NMax) are folded into each zone's bytes: they are tiny, and
@@ -33,30 +31,17 @@ import (
 // field-set change so stale cache keys die instead of aliasing.
 const zoneCanonicalVersion = "sagzone/1"
 
-// ZoneHashVariant selects which solver-relevant fields a zone hash covers.
-type ZoneHashVariant int
-
-const (
-	// ZoneHashCoverage covers the inputs of coverage placement: positions
-	// and distance requirements, excluding MinRxPower and entity IDs.
-	ZoneHashCoverage ZoneHashVariant = iota
-	// ZoneHashFull additionally covers MinRxPower, for keying artifacts
-	// that depend on receive-power floors (power allocation).
-	ZoneHashFull
-)
-
 // CanonicalZoneBytes returns the canonical byte encoding of one zone's
-// solver inputs. zone lists the member subscribers as indices into
+// coverage inputs: positions and distance requirements, without MinRxPower
+// or entity IDs. zone lists the member subscribers as indices into
 // sc.Subscribers, in zone order (the order ZonePartition emits).
-func (sc *Scenario) CanonicalZoneBytes(zone []int, variant ZoneHashVariant) []byte {
+func (sc *Scenario) CanonicalZoneBytes(zone []int) []byte {
 	var b canonicalBuf
 	b.WriteString(zoneCanonicalVersion)
 	b.WriteByte('\n')
-	if variant == ZoneHashFull {
-		b.count("traffic", 1)
-	} else {
-		b.count("traffic", 0)
-	}
+	// "traffic 0" is kept from an encoding that also had a receive-power
+	// variant, so that zone keys stay what they were.
+	b.count("traffic", 0)
 	b.field("field", sc.Field.Min.X, sc.Field.Min.Y, sc.Field.Max.X, sc.Field.Max.Y)
 	b.field("model", sc.Model.Gt, sc.Model.Gr, sc.Model.Ht, sc.Model.Hr, sc.Model.Alpha, sc.Model.MinDist)
 	b.field("pmax", sc.PMax)
@@ -65,18 +50,14 @@ func (sc *Scenario) CanonicalZoneBytes(zone []int, variant ZoneHashVariant) []by
 	b.count("ss", len(zone))
 	for _, i := range zone {
 		s := sc.Subscribers[i]
-		if variant == ZoneHashFull {
-			b.field("s", s.Pos.X, s.Pos.Y, s.DistReq, s.MinRxPower)
-		} else {
-			b.field("s", s.Pos.X, s.Pos.Y, s.DistReq)
-		}
+		b.field("s", s.Pos.X, s.Pos.Y, s.DistReq)
 	}
 	return b.Bytes()
 }
 
 // CanonicalZoneHash returns the SHA-256 of CanonicalZoneBytes as lowercase
 // hex — the zone's content address.
-func (sc *Scenario) CanonicalZoneHash(zone []int, variant ZoneHashVariant) string {
-	sum := sha256.Sum256(sc.CanonicalZoneBytes(zone, variant))
+func (sc *Scenario) CanonicalZoneHash(zone []int) string {
+	sum := sha256.Sum256(sc.CanonicalZoneBytes(zone))
 	return hex.EncodeToString(sum[:])
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -65,6 +67,29 @@ func TestRateLimitPerClient(t *testing.T) {
 	}
 	for _, j := range jobs {
 		waitDone(t, j, 60*time.Second)
+	}
+}
+
+// TestNonFiniteRateRefused checks that NewServer refuses a NaN or infinite
+// rate, whose token bucket would refill to NaN and refuse every keyed client
+// from its second request on, and that a negative rate still disables
+// limiting.
+func TestNonFiniteRateRefused(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s, err := NewServer(Options{Admit: admit.Options{Rate: rate}})
+		if err == nil {
+			s.Shutdown(context.Background())
+			t.Errorf("rate %v: NewServer succeeded, want an error", rate)
+		}
+	}
+	s := newTestServer(t, Options{Workers: 1, Admit: admit.Options{Rate: -1, Burst: 1}})
+	sc := distinctScenario(t, 296)
+	for i := 0; i < 3; i++ {
+		job, err := s.SubmitFrom("key:alice", SolveRequest{Scenario: sc})
+		if err != nil {
+			t.Fatalf("submit %d at a negative rate: %v", i, err)
+		}
+		waitDone(t, job, 60*time.Second)
 	}
 }
 

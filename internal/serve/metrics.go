@@ -78,10 +78,7 @@ func (s *Server) metricsRegistry() *obs.Registry {
 	counter("incr_resolves", "Accepted /v1/resolve submissions (whole-result cache hits included).", m.Resolves.Load)
 	counter("incr_zones_reused_total", "Zone coverage solutions spliced from the zone store.", incr.ZonesReused)
 	counter("incr_zones_resolved_total", "Zone coverage solutions computed by an actual solve.", incr.ZonesResolved)
-	gauge("zone_cache_entries", "Zone placement entries currently stored.", func() int64 {
-		zones, _, _ := s.incrStores.Len()
-		return int64(zones)
-	})
+	gauge("zone_cache_entries", "Zone placement entries currently stored.", func() int64 { return int64(s.incrStores.Len()) })
 	counter("solve_micros_total", "Accumulated wall-clock solver microseconds (cache hits excluded).", m.SolveMicros.Load)
 	counter("solves", "Completed solves the accumulated solver microseconds span.", m.Solves.Load)
 	counter("bb_nodes_total", "Process-wide branch-and-bound nodes explored.", milp.TotalNodes)

@@ -239,11 +239,34 @@ func TestMetricsUnknownFormatRejected(t *testing.T) {
 
 // TestResultDocCarriesTrace asserts the served result document embeds the
 // solve's span tree: a job root over the pipeline stages, each with a
-// non-zero duration — and that a cache hit replays the same trace bytes.
+// non-zero duration — that a cache hit replays the same trace bytes, and that
+// a solve sharing its relay set with an earlier one still traces every stage.
 func TestResultDocCarriesTrace(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 2})
 
 	job := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
+	doc := requireStageTrace(t, job)
+
+	// Cache hit: byte-identical replay, original trace included.
+	job2 := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
+	doc2, state2 := job2.resultBytes()
+	if state2 != StateDone {
+		t.Fatalf("cache-hit job ended %v", state2)
+	}
+	if string(doc) != string(doc2) {
+		t.Error("cache hit served different bytes than the original solve")
+	}
+
+	// A solve that differs only in its coverage power stage has the same
+	// relay set as the first; its trace must still time every stage.
+	requireStageTrace(t, submitAndWait(t, s, tinyScenario(t), SolveOptions{CoveragePower: "baseline"}))
+}
+
+// requireStageTrace checks that a finished job's result document carries a
+// trace rooted at the job, with a positive-length span for every pipeline
+// stage and at least one zone span, and returns the document.
+func requireStageTrace(t *testing.T, job *Job) []byte {
+	t.Helper()
 	doc, state := job.resultBytes()
 	if state != StateDone {
 		t.Fatalf("job ended %v", state)
@@ -275,16 +298,7 @@ func TestResultDocCarriesTrace(t *testing.T) {
 	if res.Trace.Count("zone") == 0 {
 		t.Error("trace has no zone spans")
 	}
-
-	// Cache hit: byte-identical replay, original trace included.
-	job2 := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
-	doc2, state2 := job2.resultBytes()
-	if state2 != StateDone {
-		t.Fatalf("cache-hit job ended %v", state2)
-	}
-	if string(doc) != string(doc2) {
-		t.Error("cache hit served different bytes than the original solve")
-	}
+	return doc
 }
 
 // submitAndWait submits one request and blocks until its job settles.

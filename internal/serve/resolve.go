@@ -16,7 +16,7 @@ var ErrNoBase = errors.New("serve: base scenario not found")
 // ResolveRequest is the body of POST /v1/resolve: a delta against a base
 // scenario the server has already seen, identified either by the job that
 // solved it or by its canonical scenario hash. The mutated scenario is
-// solved through the zone-level stores, so unchanged zones splice from
+// solved through the zone store, so unchanged zones splice from
 // cache and the result is byte-identical to solving the mutated scenario
 // cold.
 type ResolveRequest struct {
@@ -43,7 +43,7 @@ type incrMeta struct {
 // Resolve applies a delta to a retained base scenario and submits the
 // mutated scenario as a regular job. The journal sees a plain solve request
 // (replay needs no base), the whole-result cache is consulted as usual (a
-// no-op delta is a pure cache hit), and the zone stores make the solve
+// no-op delta is a pure cache hit), and the zone store makes the solve
 // incremental. Errors wrap ErrNoBase for a missing base, scenario.ErrBadDelta
 // / scenario.ErrUnknownEntity for a malformed or dangling delta.
 func (s *Server) Resolve(req ResolveRequest) (*Job, error) {

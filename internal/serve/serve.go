@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,9 +81,8 @@ type Options struct {
 	// the previous process never finished are re-run. Empty means fully
 	// in-memory operation, as before.
 	DataDir string
-	// ZoneCacheEntries bounds each of the zone-level stores (coverage
-	// placements, power blocks, upper-tier results) shared by every job of
-	// this server (default 1024 entries each).
+	// ZoneCacheEntries bounds the zone store of coverage placements shared
+	// by every job of this server (default 1024 entries).
 	ZoneCacheEntries int
 	// ScenarioRetention bounds the LRU of scenarios kept so POST /v1/resolve
 	// can name a base by job ID or scenario hash (default 256 scenarios).
@@ -95,7 +95,8 @@ type Options struct {
 	MaxBatches int
 	// Admit tunes the admission-control layer: per-client rate limiting
 	// and the degrade circuit breaker. Zero values mean the admit package
-	// defaults.
+	// defaults. NewServer refuses a NaN or infinite Admit.Rate: the token
+	// bucket would refill to NaN and refuse every keyed client for good.
 	Admit admit.Options
 	// FlightRecords bounds the flight recorder's retained completed-job
 	// records (default obs.DefaultFlightRecords; half the capacity is
@@ -142,9 +143,9 @@ type Server struct {
 	// document. Shared slices; never modified.
 	cache   *lru.Cache[string, []byte]
 	metrics Metrics
-	// incrStores are the zone-level content-addressed stores shared by every
-	// job: full solves populate them and incremental re-solves splice from
-	// them (see internal/incr).
+	// incrStores is the zone-level content-addressed store of coverage
+	// placements shared by every job: full solves populate it and
+	// incremental re-solves splice from it (see internal/incr).
 	incrStores *incr.Stores
 	// scenarios retains recently-submitted scenarios by canonical hash so
 	// /v1/resolve can locate a delta's base. Stored scenarios are shared and
@@ -190,6 +191,9 @@ type Server struct {
 // and unfinished ones are re-submitted to the pool, so their original IDs
 // answer again once NewServer returns.
 func NewServer(opts Options) (*Server, error) {
+	if r := opts.Admit.Rate; math.IsNaN(r) || math.IsInf(r, 0) {
+		return nil, fmt.Errorf("serve: admit rate %v is not a finite number", r)
+	}
 	opts = opts.withDefaults()
 	logger := opts.Logger
 	if logger == nil {
@@ -552,8 +556,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	asp.SetBool("probe", grant.Probe())
 	asp.End()
 
-	// Every job runs through the shared zone-level stores: full solves
-	// populate them, repeat or delta'd scenarios splice from them.
+	// Every job runs through the shared zone store: full solves populate
+	// it, repeat or delta'd scenarios splice zone placements from it.
 	s.incrStores.Wire(&cfg)
 	if m := job.incr; m != nil {
 		sp := tr.Root().StartChild("incr")

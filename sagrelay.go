@@ -161,7 +161,7 @@ func GAC(ctx context.Context, sc *Scenario, opts ILPOptions) (*CoverageResult, e
 
 // PRO runs Power Reduction Optimization (Alg. 6) on a coverage result.
 func PRO(ctx context.Context, sc *Scenario, res *CoverageResult) (*CoveragePowerAllocation, error) {
-	return lower.PRO(ctx, sc, res, nil)
+	return lower.PRO(ctx, sc, res)
 }
 
 // OptimalCoveragePower solves the exact LPQC power optimum (eqs. 3.6-3.9).
