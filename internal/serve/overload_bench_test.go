@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
+	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 	"time"
@@ -27,6 +32,19 @@ const (
 	replayDeadline  = time.Second
 	replaySpan      = 20 * time.Second
 	replayCalibrate = 16
+	// replayResamples is the bootstrap's resample count; the resampling
+	// seed is fixed, so the same answers always give the same interval.
+	replayResamples = 2000
+)
+
+// Replay flags, for paired runs of two builds: -replay-seed moves the
+// arrival seeds (iteration i uses seed+i), -replay-dump appends each
+// phase's pooled outcome to a file as one JSON line, and TestReplayPool
+// reports the lines of -replay-pool files pooled per phase.
+var (
+	replaySeedFlag = flag.Int64("replay-seed", 1, "arrival seed of the overload replay's first iteration")
+	replayDumpFlag = flag.String("replay-dump", "", "append each overload replay phase's outcome to this file as a JSON line")
+	replayPoolFlag = flag.String("replay-pool", "", "TestReplayPool: file of -replay-dump lines to pool per phase")
 )
 
 // replayPhases are the traffic shapes: load is the offered rate in units
@@ -42,52 +60,149 @@ var replayPhases = []struct {
 	{name: "overload-3x", load: 3},
 }
 
-// replayStats accumulates one phase's outcome over the benchmark's
-// iterations. An answer is a job that ended with a result document,
-// degraded ones included: the degrade ladder is the service's way of
-// answering on time. A refusal is a submit error other than a full queue
-// (a server that sheds by deadline refuses that way).
+// replayStats accumulates one phase's outcome over replays. An answer is a
+// job that ended with a result document, degraded ones included: the
+// degrade ladder is the service's way of answering on time. A refusal is a
+// submit error other than a full queue (a server that sheds by deadline
+// refuses that way). Latencies holds every answer's submit-to-result
+// seconds; the Sent-Answered requests without one count as +Inf in the
+// request-level tail.
 type replayStats struct {
-	seconds, rate, solveSeconds       float64
-	sent, answered, cancelled, failed int
-	refused, rejected, degraded       int
-	latencies                         []float64
+	Phase                             string
+	Replays                           int
+	Seconds, Rate, SolveSeconds       float64
+	Sent, Answered, Cancelled, Failed int
+	Refused, Rejected, Degraded       int
+	Latencies                         []float64
+}
+
+// add pools o into st.
+func (st *replayStats) add(o replayStats) {
+	st.Replays += o.Replays
+	st.Seconds += o.Seconds
+	st.Rate += o.Rate
+	st.SolveSeconds += o.SolveSeconds
+	st.Sent += o.Sent
+	st.Answered += o.Answered
+	st.Cancelled += o.Cancelled
+	st.Failed += o.Failed
+	st.Refused += o.Refused
+	st.Rejected += o.Rejected
+	st.Degraded += o.Degraded
+	st.Latencies = append(st.Latencies, o.Latencies...)
+}
+
+// report hands each metric of st, pooled over its replays, to emit:
+// answers per second of offered traffic (on-time/s), the share of sent
+// requests answered, exact (non-degraded) answers per second, the
+// per-replay counts of cancelled (deadline hit with no answer), refused,
+// queue-full, failed and degraded jobs, p50 and p99 latency of the answers
+// with a 95% bootstrap interval for the p99, and the p99 over every
+// request sent (req-p99-s), which reads +Inf once more than 1% of the
+// requests go unanswered.
+func (st *replayStats) report(emit func(v float64, unit string)) {
+	n := float64(st.Replays)
+	slices.Sort(st.Latencies)
+	lo, hi := bootstrapP99(st.Latencies)
+	emit(float64(st.Answered)/st.Seconds, "on-time/s")
+	emit(float64(st.Answered)/float64(st.Sent), "answered-share")
+	emit(float64(st.Answered-st.Degraded)/st.Seconds, "exact/s")
+	emit(float64(st.Cancelled)/n, "cancelled/op")
+	emit(float64(st.Refused)/n, "refused/op")
+	emit(float64(st.Rejected)/n, "queue-full/op")
+	emit(float64(st.Failed)/n, "failed/op")
+	emit(float64(st.Degraded)/n, "degraded/op")
+	emit(float64(st.Sent)/n, "sent/op")
+	emit(st.Rate/n, "offered-req/s")
+	emit(st.SolveSeconds/n*1000, "solve-ms")
+	emit(quantile(st.Latencies, len(st.Latencies), 0.50), "p50-s")
+	emit(quantile(st.Latencies, len(st.Latencies), 0.99), "p99-s")
+	emit(lo, "p99-lo-s")
+	emit(hi, "p99-hi-s")
+	emit(quantile(st.Latencies, st.Sent, 0.99), "req-p99-s")
 }
 
 // BenchmarkOverloadReplay measures what the admission stack does to
 // on-time answers under overload. Each iteration is one replay on a fresh
-// server with arrival seed i+1; run it with -benchtime Nx:
+// server with arrival seed -replay-seed+i, and every metric pools the
+// iterations' requests; run it with -benchtime Nx:
 //
 //	go test -run '^$' -bench OverloadReplay -benchtime 2x ./internal/serve/
 //
-// Reported per phase: answers per second of offered traffic (on-time/s),
-// the share of sent requests answered, exact (non-degraded) answers per
-// second, the per-replay counts of cancelled (deadline hit with no answer),
-// refused, queue-full, failed and degraded jobs, and p50/p99 latency of the
-// answered requests (submit to result).
+// A job that ends failed fails the benchmark: no phase arms anything but a
+// delay, so a failure is a broken overload path.
 func BenchmarkOverloadReplay(b *testing.B) {
 	for _, ph := range replayPhases {
 		b.Run(ph.name, func(b *testing.B) {
-			var st replayStats
+			st := replayStats{Phase: ph.name}
 			for i := 0; i < b.N; i++ {
-				runReplay(b, ph.fault, ph.load, int64(i+1), &st)
+				runReplay(b, ph.fault, ph.load, *replaySeedFlag+int64(i), &st)
 			}
-			n := float64(b.N)
-			slices.Sort(st.latencies)
-			b.ReportMetric(float64(st.answered)/st.seconds, "on-time/s")
-			b.ReportMetric(float64(st.answered)/float64(st.sent), "answered-share")
-			b.ReportMetric(float64(st.answered-st.degraded)/st.seconds, "exact/s")
-			b.ReportMetric(float64(st.cancelled)/n, "cancelled/op")
-			b.ReportMetric(float64(st.refused)/n, "refused/op")
-			b.ReportMetric(float64(st.rejected)/n, "queue-full/op")
-			b.ReportMetric(float64(st.failed)/n, "failed/op")
-			b.ReportMetric(float64(st.degraded)/n, "degraded/op")
-			b.ReportMetric(float64(st.sent)/n, "sent/op")
-			b.ReportMetric(st.rate/n, "offered-req/s")
-			b.ReportMetric(st.solveSeconds/n*1000, "solve-ms")
-			b.ReportMetric(percentile(st.latencies, 0.50), "p50-s")
-			b.ReportMetric(percentile(st.latencies, 0.99), "p99-s")
+			if st.Failed > 0 {
+				b.Errorf("%d of %d jobs failed", st.Failed, st.Sent)
+			}
+			if *replayDumpFlag != "" {
+				dumpReplay(b, *replayDumpFlag, st)
+			}
+			st.report(b.ReportMetric)
 		})
+	}
+}
+
+// dumpReplay appends st to path as one JSON line.
+func dumpReplay(b *testing.B, path string, st replayStats) {
+	b.Helper()
+	line, err := json.Marshal(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestReplayPool pools the -replay-dump lines of the -replay-pool file per
+// phase and logs the benchmark's metrics over them, so the runs of one
+// build in a paired measurement read as one sample:
+//
+//	go test -run TestReplayPool -v ./internal/serve/ -args -replay-pool FILE
+func TestReplayPool(t *testing.T) {
+	if *replayPoolFlag == "" {
+		t.Skip("no -replay-pool file")
+	}
+	f, err := os.Open(*replayPoolFlag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pooled := map[string]*replayStats{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		var st replayStats
+		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if pooled[st.Phase] == nil {
+			pooled[st.Phase] = &replayStats{Phase: st.Phase}
+		}
+		pooled[st.Phase].add(st)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range replayPhases {
+		if st := pooled[ph.name]; st != nil {
+			t.Logf("%s: %d replays", ph.name, st.Replays)
+			st.report(func(v float64, unit string) { t.Logf("  %-15s %.6g", unit, v) })
+		}
 	}
 }
 
@@ -153,9 +268,9 @@ func runReplay(b *testing.B, faultSpec string, load float64, seed int64, st *rep
 		case err == nil:
 			jobs = append(jobs, job)
 		case errors.Is(err, ErrQueueFull):
-			st.rejected++
+			st.Rejected++
 		default:
-			st.refused++
+			st.Refused++
 		}
 	}
 	for _, job := range jobs {
@@ -167,20 +282,22 @@ func runReplay(b *testing.B, faultSpec string, load float64, seed int64, st *rep
 		job.mu.Lock()
 		switch job.state {
 		case StateDone:
-			st.answered++
-			st.latencies = append(st.latencies, job.finished.Sub(job.created).Seconds())
+			st.Answered++
+			st.Latencies = append(st.Latencies, job.finished.Sub(job.created).Seconds())
 		case StateCancelled:
-			st.cancelled++
+			st.Cancelled++
 		default:
-			st.failed++
+			st.Failed++
+			b.Logf("job %s failed: %s", job.ID, job.err)
 		}
 		job.mu.Unlock()
 	}
-	st.seconds += replaySpan.Seconds()
-	st.rate += rate
-	st.solveSeconds += solve
-	st.sent += len(scs)
-	st.degraded += int(s.metrics.JobsDegraded.Load() - degraded0)
+	st.Replays++
+	st.Seconds += replaySpan.Seconds()
+	st.Rate += rate
+	st.SolveSeconds += solve
+	st.Sent += len(scs)
+	st.Degraded += int(s.metrics.JobsDegraded.Load() - degraded0)
 }
 
 func replayScenario(tb testing.TB, seed int64) *scenario.Scenario {
@@ -194,10 +311,43 @@ func replayScenario(tb testing.TB, seed int64) *scenario.Scenario {
 	return sc
 }
 
-// percentile is the nearest-rank q-quantile of sorted xs (0 when empty).
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
+// quantile is the nearest-rank q-quantile of n requests whose answers have
+// the sorted latencies xs: the n-len(xs) unanswered requests rank above
+// every answer, as +Inf. It is 0 when n is 0.
+func quantile(xs []float64, n int, q float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	return xs[int(q*float64(len(xs)-1)+0.5)]
+	i := rank(q, n)
+	if i >= len(xs) {
+		return math.Inf(1)
+	}
+	return xs[i]
+}
+
+// rank is the 0-based index of the nearest-rank q-quantile of n values.
+func rank(q float64, n int) int {
+	return max(int(math.Ceil(q*float64(n)-1e-9))-1, 0)
+}
+
+// bootstrapP99 is the 95% percentile-bootstrap interval of the p99 of the
+// sorted latencies xs (0, 0 when empty). A resample of sorted values,
+// sorted, is xs at its sorted indices, so each resample sorts indices.
+func bootstrapP99(xs []float64) (lo, hi float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	rng := rand.New(rand.NewSource(1))
+	k := rank(0.99, len(xs))
+	idx := make([]int, len(xs))
+	est := make([]float64, replayResamples)
+	for r := range est {
+		for i := range idx {
+			idx[i] = rng.Intn(len(xs))
+		}
+		slices.Sort(idx)
+		est[r] = xs[idx[k]]
+	}
+	slices.Sort(est)
+	return quantile(est, len(est), 0.025), quantile(est, len(est), 0.975)
 }
