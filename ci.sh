@@ -54,7 +54,7 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # end-to-end gates are ordinary tests: a byte-identical cache hit with the
 # trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,
 # TestResultDocCarriesTrace, TestMetricsPrometheusHistograms), the pinned
-# sagmetrics/8 key order, a tight-deadline job behind a backlog answered
+# sagmetrics/9 key order, a tight-deadline job behind a backlog answered
 # degraded and uncached (TestTightDeadlineBehindBacklogAnsweredDegraded),
 # queue-full refusals at zero solver cost with accepted answers equal to an
 # unloaded server's (TestAnswersUnderStormMatchUnloaded), /healthz under a
@@ -69,8 +69,8 @@ echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
 
 # Overload replay, one iteration per phase (~2 min): EXPERIMENTS.md cites
-# BenchmarkOverloadReplay, so a panic or b.Fatal in it fails the gate
-# instead of rotting until the next measurement.
+# BenchmarkOverloadReplay, so a panic, a b.Fatal or a job that ends failed
+# in it fails the gate instead of rotting until the next measurement.
 echo "== go test -run '^\$' -bench OverloadReplay -benchtime 1x ./internal/serve/"
 go test -count=1 -run '^$' -bench OverloadReplay -benchtime 1x -timeout 20m ./internal/serve/
 

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"sagrelay/internal/admit"
 	"sagrelay/internal/fault"
 	"sagrelay/internal/obs"
 	"sagrelay/internal/serve"
@@ -74,8 +73,6 @@ func run(args []string) error {
 			"per-client request rate limit in requests/second (0 = no rate limiting)")
 		burst = fs.Int("burst", 0,
 			"per-client token-bucket burst (0 = derive from -rate)")
-		breakerThreshold = fs.Float64("breaker-threshold", 0,
-			"degrade circuit breaker bad-outcome fraction that trips heuristic-first mode (0 = default 0.5)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		flightRec = fs.Int("flight-records", obs.DefaultFlightRecords,
@@ -109,11 +106,8 @@ func run(args []string) error {
 		DataDir:       *dataDir,
 		FlightRecords: *flightRec,
 		Logger:        logger,
-		Admit: admit.Options{
-			Rate:             *rate,
-			Burst:            *burst,
-			BreakerThreshold: *breakerThreshold,
-		},
+		Rate:          *rate,
+		Burst:         *burst,
 	}
 	srv, err := serve.NewServer(opts)
 	if err != nil {

@@ -2,11 +2,10 @@ package admit
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"testing"
 	"time"
-
-	"sagrelay/internal/fault"
 )
 
 // allowed reports whether l admits client at now.
@@ -103,148 +102,29 @@ func TestRateLimiterBoundsClientTable(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	t0 := time.Unix(2000, 0)
-	b := NewBreaker(0.5, 4, 3, time.Second)
-	if hf, probe := b.Allow(t0); hf || probe {
-		t.Fatal("closed breaker must issue the exact pipeline")
+// TestRateLimiterRetryAfterNoWrap: at a tiny rate the next token is
+// centuries away; RetryAfter must say so, clamped to the longest Duration,
+// not wrap negative.
+func TestRateLimiterRetryAfterNoWrap(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	for _, c := range []struct {
+		rate float64
+		want time.Duration
+	}{
+		{math.Ldexp(1, -30), 1 << 30 * time.Second}, // exact in float64
+		{1e-12, math.MaxInt64},
+		{math.SmallestNonzeroFloat64, math.MaxInt64},
+	} {
+		l := NewRateLimiter(c.rate, 1)
+		if !allowed(t, l, "a", t0) {
+			t.Fatalf("rate %g: burst token denied", c.rate)
+		}
+		var rl *RateLimitError
+		if err := l.Allow("a", t0); !errors.As(err, &rl) {
+			t.Fatalf("rate %g: second request returned %v, want *RateLimitError", c.rate, err)
+		}
+		if rl.RetryAfter != c.want {
+			t.Errorf("rate %g: RetryAfter = %v, want %v", c.rate, rl.RetryAfter, c.want)
+		}
 	}
-	b.Record(false, false, t0)
-	b.Record(true, false, t0)
-	if b.State() != BreakerClosed {
-		t.Fatal("breaker tripped below minSamples")
-	}
-	b.Record(true, false, t0)
-	if b.State() != BreakerOpen {
-		t.Fatalf("2/3 bad >= 0.5 should open the breaker; state %v", b.State())
-	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", b.Trips())
-	}
-
-	// While open and inside the cooldown: heuristic-first, no probe.
-	if hf, probe := b.Allow(t0.Add(100 * time.Millisecond)); !hf || probe {
-		t.Fatal("open breaker inside cooldown must issue heuristic-first")
-	}
-	// After cooldown: exactly one probe, everyone else heuristic-first.
-	hf, probe := b.Allow(t0.Add(2 * time.Second))
-	if hf || !probe {
-		t.Fatal("first job past cooldown must be the probe")
-	}
-	if hf2, probe2 := b.Allow(t0.Add(2 * time.Second)); !hf2 || probe2 {
-		t.Fatal("second job during half-open must be heuristic-first")
-	}
-	// A bad probe re-opens (and re-counts the trip).
-	b.Record(true, true, t0.Add(2*time.Second))
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("bad probe: state %v trips %d, want open/2", b.State(), b.Trips())
-	}
-	// An aborted probe hands the claim back.
-	_, probe = b.Allow(t0.Add(4 * time.Second))
-	if !probe {
-		t.Fatal("expected a new probe after the second cooldown")
-	}
-	b.AbortProbe()
-	_, probe = b.Allow(t0.Add(4 * time.Second))
-	if !probe {
-		t.Fatal("aborted probe claim was not reissued")
-	}
-	// A clean probe closes the breaker and resets the window.
-	b.Record(false, true, t0.Add(4*time.Second))
-	if b.State() != BreakerClosed {
-		t.Fatalf("clean probe left state %v", b.State())
-	}
-	// The reset window means one new bad outcome cannot instantly re-trip.
-	b.Record(true, false, t0.Add(5*time.Second))
-	if b.State() != BreakerClosed {
-		t.Fatal("window was not reset by the clean probe")
-	}
-}
-
-func TestBreakerSlidingWindowEvicts(t *testing.T) {
-	b := NewBreaker(0.75, 4, 4, time.Second)
-	t0 := time.Unix(3000, 0)
-	// Two bad then two good: 0.5 < 0.75, stays closed.
-	b.Record(true, false, t0)
-	b.Record(true, false, t0)
-	b.Record(false, false, t0)
-	b.Record(false, false, t0)
-	if b.State() != BreakerClosed {
-		t.Fatalf("2/4 bad tripped a 0.75 breaker (state %v)", b.State())
-	}
-	// Four goods age the two bads out of the window entirely...
-	for i := 0; i < 4; i++ {
-		b.Record(false, false, t0)
-	}
-	// ...so two fresh bads are again only 2/4, not 4/8.
-	b.Record(true, false, t0)
-	b.Record(true, false, t0)
-	if b.State() != BreakerClosed {
-		t.Fatalf("aged-out failures still counted (state %v)", b.State())
-	}
-	// One more bad makes 3/4 >= 0.75 within the current window: trip.
-	b.Record(true, false, t0)
-	if b.State() != BreakerOpen {
-		t.Fatalf("3/4 bad did not trip (state %v)", b.State())
-	}
-}
-
-func TestControllerRateLimitTyped(t *testing.T) {
-	c := New(Options{Rate: 1, Burst: 1})
-	if err := c.AllowClient("k"); err != nil {
-		t.Fatal(err)
-	}
-	err := c.AllowClient("k")
-	var rl *RateLimitError
-	if !errors.As(err, &rl) {
-		t.Fatalf("second immediate request returned %v, want *RateLimitError", err)
-	}
-	if rl.RetryAfter <= 0 {
-		t.Fatal("RateLimitError carries no RetryAfter")
-	}
-	if err := c.AllowClient(""); err != nil {
-		t.Fatal("internal (empty) client must never be limited")
-	}
-}
-
-func TestForcedTripFaultSite(t *testing.T) {
-	// admit.breaker forces a deterministic trip at Finish.
-	if err := fault.EnableSpec("admit.breaker=error:n=1", 1); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fault.Disable)
-	c := New(Options{})
-	c.Finish(c.Begin(), Outcome{})
-	if c.BreakerState() != int64(BreakerOpen) {
-		t.Fatalf("armed admit.breaker left state %d, want open", c.BreakerState())
-	}
-	if c.BreakerTrips() != 1 {
-		t.Fatalf("trips = %d, want 1", c.BreakerTrips())
-	}
-
-	// Panic-kind rules are recovered into the forced decision.
-	if err := fault.EnableSpec("admit.breaker=panic:n=1", 1); err != nil {
-		t.Fatal(err)
-	}
-	c = New(Options{})
-	c.Finish(c.Begin(), Outcome{})
-	if c.BreakerState() != int64(BreakerOpen) {
-		t.Fatalf("panic-kind admit.breaker left state %d, want open", c.BreakerState())
-	}
-}
-
-func TestFinishIsIdempotent(t *testing.T) {
-	c := New(Options{})
-	g := c.Begin()
-	c.Finish(g, Outcome{})
-	// Backstop call with a bad outcome: it must not reach the breaker
-	// window.
-	c.Finish(g, Outcome{DeadlineMiss: true})
-	c.br.mu.Lock()
-	windowed, bad := c.br.count, c.br.bad
-	c.br.mu.Unlock()
-	if windowed != 1 || bad != 0 {
-		t.Fatalf("breaker window holds %d outcomes (%d bad) after double Finish, want 1 (0 bad)", windowed, bad)
-	}
-	c.Finish(nil, Outcome{}) // nil grant no-op
 }

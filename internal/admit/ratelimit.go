@@ -1,7 +1,14 @@
+// Package admit is the solve service's per-client rate limiter. Overload
+// itself needs no admission decision: the service's bounded queue answers
+// 429 when full, every job carries a deadline, and the degrade ladder
+// answers late stages with the paper's heuristics (see internal/serve).
+// The limiter keys a token bucket on API key or remote address and rejects
+// a client past its budget with *RateLimitError (HTTP 429).
 package admit
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -81,6 +88,15 @@ func (l *RateLimiter) Allow(client string, now time.Time) error {
 		b.tokens--
 		return nil
 	}
-	need := (1 - b.tokens) / l.rate
-	return &RateLimitError{Client: client, RetryAfter: time.Duration(need * float64(time.Second))}
+	return &RateLimitError{Client: client, RetryAfter: retryAfter((1 - b.tokens) / l.rate)}
+}
+
+// retryAfter converts a wait in seconds to a Duration, clamped to the
+// longest Duration: at a tiny rate the next token is centuries away, and
+// the plain conversion would wrap negative.
+func retryAfter(secs float64) time.Duration {
+	if secs >= float64(math.MaxInt64/time.Second) {
+		return math.MaxInt64
+	}
+	return time.Duration(secs * float64(time.Second))
 }

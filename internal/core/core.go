@@ -137,15 +137,6 @@ type Config struct {
 	// DegradeTimeout bounds retry/fallback work when the original context
 	// deadline has already expired (default 30s).
 	DegradeTimeout time.Duration
-	// HeuristicFirst downgrades the exact stages to the paper's heuristics
-	// before the pipeline runs: coverage IAC/GAC become SAMC and the
-	// optimal lower-tier power stage (LPQC) becomes PRO. The solve service
-	// sets it while its overload circuit breaker is open, so doomed exact
-	// attempts are skipped instead of timing out into the same fallbacks.
-	// A downgrade that actually changed the configuration tags the solution
-	// Degraded (keeping it out of byte-identical result caches); a request
-	// that was already heuristic-only is unaffected.
-	HeuristicFirst bool
 	// HardStop, when non-nil, force-aborts degrade overtime: the ladder's
 	// detached overtime context — which deliberately outlives the caller's
 	// *deadline* — is additionally cancelled when this channel closes, so
@@ -336,25 +327,6 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 		return nil, fmt.Errorf("core: unknown connectivity power method %v", cfg.ConnectivityPower)
 	}
 
-	// Heuristic-first mode rewrites the exact stages to their heuristic
-	// substitutes up front — after validation (a bad method must still fail
-	// fast) and before the span opens (the method attribute reports what
-	// actually runs). Each real downgrade is noted so the solution carries
-	// the Degraded tag exactly when the answer differs from the requested
-	// pipeline's.
-	var heuristicNotes []string
-	if cfg.HeuristicFirst {
-		if cfg.Coverage == CoverIAC || cfg.Coverage == CoverGAC {
-			heuristicNotes = append(heuristicNotes,
-				"coverage: "+cfg.Coverage.String()+" -> SAMC")
-			cfg.Coverage = CoverSAMC
-		}
-		if cfg.CoveragePower == PowerOptimal {
-			heuristicNotes = append(heuristicNotes, "coverage power: LPQC -> PRO")
-			cfg.CoveragePower = PowerGreen
-		}
-	}
-
 	// The solve span opens before the ladder captures ctx: the ladder's
 	// detached overtime context is built with context.WithoutCancel, which
 	// preserves values, so even overtime fallback work attaches its stage
@@ -392,9 +364,6 @@ func Run(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Solution, err
 		return nil, fmt.Errorf("core: coverage: %w", err)
 	}
 	sol := &Solution{Method: pipelineName(cfg)}
-	for _, note := range heuristicNotes {
-		sol.degrade(note, "heuristic-first mode (overload circuit breaker)")
-	}
 	sol.degrade("coverage: "+cfg.Coverage.String()+" -> SAMC", coverReason)
 	if cover.Truncated {
 		// A zone's branch-and-bound was cut short by the wall-clock zone time

@@ -33,7 +33,7 @@ func distinctScenario(t *testing.T, seed int64) *scenario.Scenario {
 }
 
 func TestRateLimitPerClient(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2, Admit: admit.Options{Rate: 0.001, Burst: 2}})
+	s := newTestServer(t, Options{Workers: 2, Rate: 0.001, Burst: 2})
 
 	// Two submissions fit the burst; the third bounces with the typed error.
 	var jobs []*Job
@@ -76,13 +76,13 @@ func TestRateLimitPerClient(t *testing.T) {
 // limiting.
 func TestNonFiniteRateRefused(t *testing.T) {
 	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		s, err := NewServer(Options{Admit: admit.Options{Rate: rate}})
+		s, err := NewServer(Options{Rate: rate})
 		if err == nil {
 			s.Shutdown(context.Background())
 			t.Errorf("rate %v: NewServer succeeded, want an error", rate)
 		}
 	}
-	s := newTestServer(t, Options{Workers: 1, Admit: admit.Options{Rate: -1, Burst: 1}})
+	s := newTestServer(t, Options{Workers: 1, Rate: -1, Burst: 1})
 	sc := distinctScenario(t, 296)
 	for i := 0; i < 3; i++ {
 		job, err := s.SubmitFrom("key:alice", SolveRequest{Scenario: sc})
@@ -94,7 +94,7 @@ func TestNonFiniteRateRefused(t *testing.T) {
 }
 
 func TestRateLimitHTTPRetryAfterAndBody(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2, Admit: admit.Options{Rate: 0.001, Burst: 1}})
+	s := newTestServer(t, Options{Workers: 2, Rate: 0.001, Burst: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -279,23 +279,18 @@ func TestAnswersUnderStormMatchUnloaded(t *testing.T) {
 	}
 }
 
-// TestBreakerLifecycleEndToEnd drives the degrade circuit breaker through
-// its full state machine at the server level: repeated degraded solves trip
-// it open, an open breaker forces heuristic-first execution, the cooldown
-// admits exactly one half-open probe, and a clean probe closes it again.
-// Every transition is observed through the public metrics surface.
-func TestBreakerLifecycleEndToEnd(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, Admit: admit.Options{
-		BreakerThreshold:  0.5,
-		BreakerWindow:     4,
-		BreakerMinSamples: 2,
-		BreakerCooldown:   time.Second,
-	}})
+// TestExactRequestRunsExactAfterDegradedJobs: a run of exact jobs that
+// come back degraded changes nothing for the next request. Each job is
+// answered on its own by the degrade ladder; once the failing dependency
+// heals, a new IAC request runs IAC and is answered exactly, and neither
+// /metrics exposition carries a server-wide overload mode.
+func TestExactRequestRunsExactAfterDegradedJobs(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
 
 	// Every branch-and-bound node errors: exact GAC solves fall back to the
-	// SAMC heuristic and complete Degraded — the breaker's bad signal.
+	// SAMC heuristic and complete Degraded.
 	armFault(t, "milp.node=error:p=1")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 10; i++ {
 		job, err := s.Submit(SolveRequest{
 			Scenario: distinctScenario(t, int64(340+i)),
 			Options:  SolveOptions{Coverage: "GAC"},
@@ -304,20 +299,47 @@ func TestBreakerLifecycleEndToEnd(t *testing.T) {
 			t.Fatalf("degrading job %d: %v", i, err)
 		}
 		waitDone(t, job, 60*time.Second)
-		if state := job.status().State; state != StateDone {
+		var res ResultDoc
+		doc, state := job.resultBytes()
+		if state != StateDone {
 			t.Fatalf("degrading job %d finished %v (err %q)", i, state, job.status().Error)
+		}
+		if err := json.Unmarshal(doc, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degraded || !strings.Contains(res.DegradedReason, "GAC -> SAMC") {
+			t.Fatalf("degrading job %d: degraded=%v reason=%q, want a GAC -> SAMC fallback",
+				i, res.Degraded, res.DegradedReason)
 		}
 	}
 
-	snap := s.MetricsSnapshot()
-	if snap["breaker_state"] != 1 {
-		t.Fatalf("breaker_state = %d after two degraded jobs, want 1 (open)", snap["breaker_state"])
+	fault.Disable()
+	job, err := s.Submit(SolveRequest{
+		Scenario: distinctScenario(t, 350),
+		Options:  SolveOptions{Coverage: "IAC"},
+	})
+	if err != nil {
+		t.Fatalf("IAC job rejected: %v", err)
 	}
-	if snap["breaker_trips_total"] != 1 {
-		t.Errorf("breaker_trips_total = %d, want 1", snap["breaker_trips_total"])
+	waitDone(t, job, 60*time.Second)
+	doc, state := job.resultBytes()
+	if state != StateDone {
+		t.Fatalf("IAC job finished %v (err %q)", state, job.status().Error)
+	}
+	var res ResultDoc
+	if err := json.Unmarshal(doc, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || !strings.HasPrefix(res.Method, "IAC/") {
+		t.Fatalf("IAC job after degraded jobs: method %q degraded=%v reason=%q, want an exact IAC answer",
+			res.Method, res.Degraded, res.DegradedReason)
 	}
 
-	// Both expositions must carry the breaker gauge while it is open.
+	for key := range s.MetricsSnapshot() {
+		if strings.HasPrefix(key, "breaker_") {
+			t.Errorf("/metrics carries %q", key)
+		}
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
@@ -326,67 +348,8 @@ func TestBreakerLifecycleEndToEnd(t *testing.T) {
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, series := range []string{"sag_breaker_state 1", "sag_breaker_trips_total 1", "sag_rate_limited_total "} {
-		if !strings.Contains(string(prom), series) {
-			t.Errorf("prometheus exposition lacks %q", series)
-		}
-	}
-
-	// Open breaker, still inside the cooldown: the next exact request runs
-	// heuristic-first — it completes (the heuristics dodge the armed B&B
-	// fault entirely) and says so in its degraded reason.
-	hfJob, err := s.Submit(SolveRequest{
-		Scenario: distinctScenario(t, 350),
-		Options:  SolveOptions{Coverage: "GAC"},
-	})
-	if err != nil {
-		t.Fatalf("heuristic-first job rejected: %v", err)
-	}
-	waitDone(t, hfJob, 60*time.Second)
-	doc, state := hfJob.resultBytes()
-	if state != StateDone {
-		t.Fatalf("heuristic-first job finished %v (err %q)", state, hfJob.status().Error)
-	}
-	var res ResultDoc
-	if err := json.Unmarshal(doc, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || !strings.Contains(res.DegradedReason, "heuristic-first") {
-		t.Fatalf("open-breaker job not marked heuristic-first: degraded=%v reason=%q",
-			res.Degraded, res.DegradedReason)
-	}
-	if s.MetricsSnapshot()["breaker_state"] != 1 {
-		t.Fatal("heuristic-first job moved the breaker out of open")
-	}
-
-	// Heal the fault, wait out the cooldown: the next job is the half-open
-	// probe. It must finish clean for the breaker to close — the default
-	// heuristic pipeline is used so the probe's cleanliness depends only on
-	// the healed fault, never on a B&B time budget on a slow runner.
-	fault.Disable()
-	time.Sleep(1100 * time.Millisecond)
-	probe, err := s.Submit(SolveRequest{Scenario: distinctScenario(t, 351)})
-	if err != nil {
-		t.Fatalf("probe job rejected: %v", err)
-	}
-	waitDone(t, probe, 60*time.Second)
-	pdoc, state := probe.resultBytes()
-	if state != StateDone {
-		t.Fatalf("probe finished %v (err %q)", state, probe.status().Error)
-	}
-	var pres ResultDoc
-	if err := json.Unmarshal(pdoc, &pres); err != nil {
-		t.Fatal(err)
-	}
-	if pres.Degraded {
-		t.Fatalf("probe ran degraded (%q), want a clean solve", pres.DegradedReason)
-	}
-	snap = s.MetricsSnapshot()
-	if snap["breaker_state"] != 0 {
-		t.Fatalf("breaker_state = %d after clean probe, want 0 (closed)", snap["breaker_state"])
-	}
-	if snap["breaker_trips_total"] != 1 {
-		t.Errorf("breaker_trips_total = %d after recovery, want still 1", snap["breaker_trips_total"])
+	if strings.Contains(string(prom), "sag_breaker_") {
+		t.Error("prometheus exposition carries a sag_breaker_ series")
 	}
 }
 

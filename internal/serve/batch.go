@@ -232,7 +232,7 @@ func (s *Server) SubmitBatch(req BatchRequest) (*Batch, error) {
 // charged once per batch, not per item: the batch API exists precisely so
 // grid clients stop paying per-request overhead.
 func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error) {
-	if err := s.admit.AllowClient(client); err != nil {
+	if err := s.limiter.Allow(client, time.Now()); err != nil {
 		s.metrics.RateLimited.Add(1)
 		s.log.Warn("batch submission rate limited", obs.LogClient, client)
 		return nil, err

@@ -43,7 +43,9 @@ type Metrics struct {
 //	sagmetrics/7  inflight_limit dropped with the AIMD limiter
 //	sagmetrics/8  jobs_shed_total and batch_items_shed dropped with
 //	              deadline-aware shedding
-const metricsSchema = "sagmetrics/8"
+//	sagmetrics/9  breaker_state and breaker_trips_total dropped with the
+//	              degrade circuit breaker
+const metricsSchema = "sagmetrics/9"
 
 // seriesPrefix turns a /metrics JSON key into its Prometheus series name.
 const seriesPrefix = "sag_"
@@ -70,8 +72,6 @@ func (s *Server) metricsRegistry() *obs.Registry {
 	counter("rate_limited_total", "Submissions rejected by per-client rate limiting.", m.RateLimited.Load)
 	counter("batches_total", "Accepted POST /v1/batch submissions.", m.BatchesTotal.Load)
 	counter("batch_items_total", "Items accepted batches expanded to.", m.BatchItemsTotal.Load)
-	gauge("breaker_state", "Degrade circuit breaker state (0 closed, 1 open, 2 half-open).", s.admit.BreakerState)
-	counter("breaker_trips_total", "Degrade circuit breaker trips (closed/half-open to open).", s.admit.BreakerTrips)
 	counter("cache_hits", "Result-cache hits at submit time.", m.CacheHits.Load)
 	counter("cache_misses", "Result-cache misses at submit time.", m.CacheMisses.Load)
 	gauge("cache_entries", "Result documents currently cached.", func() int64 { return int64(s.cache.Len()) })

@@ -88,15 +88,14 @@ func fetchMetricsProm(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
-// metricsKeysV8 is the sagmetrics/8 wire contract: every key of the /metrics
+// metricsKeysV9 is the sagmetrics/9 wire contract: every key of the /metrics
 // JSON document, in order. Adding, renaming or reordering a key changes the
 // schema and must bump metricsSchema.
-var metricsKeysV8 = []string{
+var metricsKeysV9 = []string{
 	"schema",
 	"jobs_accepted", "jobs_rejected", "jobs_completed", "jobs_failed", "jobs_cancelled",
 	"jobs_panicked", "jobs_degraded", "rate_limited_total",
 	"batches_total", "batch_items_total",
-	"breaker_state", "breaker_trips_total",
 	"cache_hits", "cache_misses", "cache_entries",
 	"incr_resolves", "incr_zones_reused_total", "incr_zones_resolved_total", "zone_cache_entries",
 	"solve_micros_total", "solves", "bb_nodes_total", "panics_recovered",
@@ -129,8 +128,8 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 	jsonVals, order := fetchMetricsJSON(t, ts.URL)
 	promVals := fetchMetricsProm(t, ts.URL)
 
-	if !slices.Equal(order, metricsKeysV8) {
-		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV8)
+	if !slices.Equal(order, metricsKeysV9) {
+		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV9)
 	}
 	if got := jsonVals["schema"]; got != json.Number(strconv.Quote(metricsSchema)) {
 		t.Errorf("schema = %s, want %q", got, metricsSchema)

@@ -310,7 +310,7 @@ func TestResolveHTTP(t *testing.T) {
 // only. A resolve that submit refuses (here by the per-client rate limit)
 // must leave it alone.
 func TestResolveRefusedIsNotCounted(t *testing.T) {
-	s := newTestServer(t, Options{Admit: admit.Options{Rate: 0.001, Burst: 1}})
+	s := newTestServer(t, Options{Rate: 0.001, Burst: 1})
 	sc := tinyScenario(t)
 	base := submitAndWait(t, s, sc, SolveOptions{})
 

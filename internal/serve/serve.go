@@ -93,18 +93,21 @@ type Options struct {
 	// MaxBatches bounds the in-memory batch table; the oldest finished
 	// batches are forgotten beyond it (default 64).
 	MaxBatches int
-	// Admit tunes the admission-control layer: per-client rate limiting
-	// and the degrade circuit breaker. Zero values mean the admit package
-	// defaults. NewServer refuses a NaN or infinite Admit.Rate: the token
-	// bucket would refill to NaN and refuse every keyed client for good.
-	Admit admit.Options
+	// Rate is the per-client sustained submission rate in requests/second;
+	// 0 (or negative) disables rate limiting. NewServer refuses a NaN or
+	// infinite Rate: the token bucket would refill to NaN and refuse every
+	// keyed client for good.
+	Rate float64
+	// Burst is the per-client token-bucket depth; 0 derives it from Rate
+	// (see admit.NewRateLimiter).
+	Burst int
 	// FlightRecords bounds the flight recorder's retained completed-job
 	// records (default obs.DefaultFlightRecords; half the capacity is
 	// reserved for failures and degraded answers).
 	FlightRecords int
 	// Logger receives the server's structured event log (submit, start,
-	// finish, rate limiting, breaker transitions, journal replay) with
-	// job_id / batch_id / client correlation fields. nil discards everything.
+	// finish, rate limiting, journal replay) with job_id / batch_id /
+	// client correlation fields. nil discards everything.
 	Logger *slog.Logger
 }
 
@@ -155,9 +158,8 @@ type Server struct {
 	// document, MetricsSnapshot and the Prometheus exposition all render it
 	// (see metricsRegistry).
 	series *obs.Registry
-	// admit is the admission-control layer: rate limiting at submit, the
-	// degrade circuit breaker around each solve.
-	admit *admit.Controller
+	// limiter is the per-client rate limiter applied at submit.
+	limiter *admit.RateLimiter
 	// flight retains the last K completed-job records for postmortems (see
 	// obs.FlightRecorder); log is the structured event logger (never nil —
 	// a nil Options.Logger becomes obs.NopLogger).
@@ -191,21 +193,13 @@ type Server struct {
 // and unfinished ones are re-submitted to the pool, so their original IDs
 // answer again once NewServer returns.
 func NewServer(opts Options) (*Server, error) {
-	if r := opts.Admit.Rate; math.IsNaN(r) || math.IsInf(r, 0) {
-		return nil, fmt.Errorf("serve: admit rate %v is not a finite number", r)
+	if r := opts.Rate; math.IsNaN(r) || math.IsInf(r, 0) {
+		return nil, fmt.Errorf("serve: rate %v is not a finite number", r)
 	}
 	opts = opts.withDefaults()
 	logger := opts.Logger
 	if logger == nil {
 		logger = obs.NopLogger()
-	}
-	aopts := opts.Admit
-	if aopts.OnBreakerChange == nil {
-		// Breaker transitions are rare and load-bearing for operators:
-		// always log them unless the caller installed their own observer.
-		aopts.OnBreakerChange = func(from, to admit.BreakerState) {
-			logger.Warn("breaker state change", "from", from.String(), "to", to.String())
-		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -214,7 +208,7 @@ func NewServer(opts Options) (*Server, error) {
 		cache:      lru.New[string, []byte](opts.CacheEntries),
 		incrStores: incr.NewStores(opts.ZoneCacheEntries),
 		scenarios:  lru.New[string, *scenario.Scenario](opts.ScenarioRetention),
-		admit:      admit.New(aopts),
+		limiter:    admit.NewRateLimiter(opts.Rate, opts.Burst),
 		flight:     obs.NewFlightRecorder(opts.FlightRecords),
 		log:        logger,
 		baseCtx:    ctx,
@@ -434,7 +428,7 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 	}
 	// Rate limiting comes first: a client past its budget is refused before
 	// any per-request work (even a cache hit costs API capacity).
-	if err := s.admit.AllowClient(client); err != nil {
+	if err := s.limiter.Allow(client, time.Now()); err != nil {
 		s.metrics.RateLimited.Add(1)
 		s.log.Warn("submission rate limited", obs.LogClient, client)
 		return nil, err
@@ -534,27 +528,11 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		return
 	}
 
-	// The breaker decides the execution mode (exact, heuristic-first, or
-	// half-open probe).
-	grant := s.admit.Begin()
-	outcome := admit.Outcome{Failed: true}
-	// The deferred Finish is the panic backstop (Finish is idempotent; the
-	// first call wins, and outcome defaults to Failed until the solve
-	// settles it below).
-	defer func() { s.admit.Finish(grant, outcome) }()
-	if grant.HeuristicFirst() {
-		cfg.HeuristicFirst = true
-	}
-
 	// Every job records a span tree: the "job" root plus the solver's own
 	// stage spans, serialized into the result document's trace field.
 	tr := obs.NewTrace("job")
 	tr.Root().SetAttr("job_id", job.ID)
 	ctx = obs.WithTrace(ctx, tr)
-	asp := tr.Root().StartChild("admit")
-	asp.SetBool("heuristic_first", grant.HeuristicFirst())
-	asp.SetBool("probe", grant.Probe())
-	asp.End()
 
 	// Every job runs through the shared zone store: full solves populate
 	// it, repeat or delta'd scenarios splice zone placements from it.
@@ -579,13 +557,9 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	tr.Finish()
 	job.setTrace(tr.Doc())
 	jobLatencySeconds.Observe(elapsed.Seconds())
-	outcome.DeadlineMiss = errors.Is(ctx.Err(), context.DeadlineExceeded)
 
 	if err != nil {
 		if ctx.Err() != nil {
-			// Deadline misses are the breaker's signal; a client cancel is
-			// nobody's fault and must not trip anything.
-			outcome.Failed = outcome.DeadlineMiss
 			s.cancelJob(job, err.Error())
 		} else {
 			s.failJob(job, err.Error())
@@ -597,12 +571,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		s.failJob(job, "encode result: "+err.Error())
 		return
 	}
-	outcome.Failed = false
-	outcome.Degraded = sol.Degraded
-	// Settle the breaker before the job is published as done: whoever sees
-	// it finished (a client's next submit, a test) meets a breaker that
-	// already counts it.
-	s.admit.Finish(grant, outcome)
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())
 	s.metrics.JobsCompleted.Add(1)
