@@ -64,6 +64,28 @@ func TestRateLimiterBurstAndRefill(t *testing.T) {
 	}
 }
 
+// TestControllerRateLimitTyped: the admission check the server makes per
+// request denies with a typed *RateLimitError carrying a positive
+// RetryAfter, and never limits the internal (empty) client.
+func TestControllerRateLimitTyped(t *testing.T) {
+	l := NewRateLimiter(1, 1)
+	now := time.Now()
+	if err := l.Allow("k", now); err != nil {
+		t.Fatal(err)
+	}
+	err := l.Allow("k", now)
+	var rl *RateLimitError
+	if !errors.As(err, &rl) {
+		t.Fatalf("second immediate request returned %v, want *RateLimitError", err)
+	}
+	if rl.RetryAfter <= 0 {
+		t.Fatal("RateLimitError carries no RetryAfter")
+	}
+	if err := l.Allow("", now); err != nil {
+		t.Fatal("internal (empty) client must never be limited")
+	}
+}
+
 // TestRateLimiterDerivedBurst: burst 0 takes the rate's whole part, and at
 // least one token.
 func TestRateLimiterDerivedBurst(t *testing.T) {

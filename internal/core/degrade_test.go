@@ -234,3 +234,26 @@ func TestUnknownMethodFailsFastEvenWithDegrade(t *testing.T) {
 		t.Fatalf("err = %v, want unknown coverage method", err)
 	}
 }
+
+// TestHeuristicFirstStillValidates: every unknown method selection fails
+// fast with its own error under the degrade ladder, never masked by a
+// heuristic fallback.
+func TestHeuristicFirstStillValidates(t *testing.T) {
+	sc := degradeScenario(t)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Coverage: CoverageMethod(99)}, "unknown coverage method"},
+		{Config{CoveragePower: PowerMethod(99)}, "unknown coverage power method"},
+		{Config{Connectivity: ConnectivityMethod(99)}, "unknown connectivity method"},
+		{Config{ConnectivityPower: PowerMethod(99)}, "unknown connectivity power method"},
+		{Config{ConnectivityPower: PowerOptimal}, "only defined for the lower tier"},
+	} {
+		c.cfg.Degrade = true
+		if _, err := Run(context.Background(), sc, c.cfg); err == nil ||
+			!strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%+v: err = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
