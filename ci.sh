@@ -112,7 +112,8 @@ go test -count=1 -run '^$' -bench 'SAMC30|MBMC30|PRO30|ZonePartition|HittingSet'
 # where each incremental solve through warmed zone-level stores must be
 # byte-identical to a cold solve of the same mutated scenario, for both the
 # heuristic and exact pipelines — plus the counter proof that a single
-# subscriber move re-solves no more zones than the planner marked dirty.
+# subscriber move re-solves at least one zone and splices at least one, and
+# that every zone of the mutated partition is one or the other.
 echo "== go test -race -run 'TestIncr' ./internal/incr/"
 go test -race -count=1 -run 'TestIncr' -timeout 20m ./internal/incr/
 

@@ -66,7 +66,7 @@ func run(args []string) error {
 			"fault-injection spec, e.g. 'milp.node=error:p=0.01,serve.job=panic:n=3' (default $SAGFAULT; empty = off)")
 		faultSeed       = fs.Int64("fault-seed", 1, "fault-injection rng seed")
 		shutdownTimeout = fs.Duration("shutdown-timeout", 10*time.Second,
-			"SIGINT/SIGTERM drain budget before in-flight solves are cancelled (and journaled as interrupted)")
+			"SIGINT/SIGTERM drain budget before in-flight solves are cancelled (and, with a journal, re-run on the next start)")
 		pprofAddr = fs.String("pprof-addr", "",
 			"listen address for a net/http/pprof side server (empty = profiling off; keep it loopback-only)")
 		rate = fs.Float64("rate", 0,
@@ -173,7 +173,7 @@ func run(args []string) error {
 
 	// Graceful shutdown: stop the listener, then drain in-flight jobs; past
 	// the budget every remaining solve is cancelled via its context and, with
-	// a journal, recorded as interrupted so the next start re-runs it.
+	// a journal, left without a terminal record so the next start re-runs it.
 	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	httpErr := httpSrv.Shutdown(ctx)

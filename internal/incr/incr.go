@@ -1,8 +1,8 @@
 // Package incr is the incremental re-solve engine: it turns "the same field
 // again, slightly changed" from a full-pipeline solve into a splice of
-// cached zone placements plus coverage re-solves of only the dirty zones.
-// The power and connectivity stages always run: they cost no more than
-// hashing their inputs would.
+// cached zone placements plus coverage re-solves of only the zones whose
+// inputs changed. The power and connectivity stages always run: they cost
+// no more than hashing their inputs would.
 //
 // The design leans entirely on content addressing rather than explicit
 // invalidation. The zone partition (Alg. 2) makes zones independent
@@ -15,36 +15,20 @@
 // central invariant cheap to uphold: an incremental solve is byte-for-byte
 // identical to a cold full solve of the mutated scenario, because cache
 // hits splice values a cold solve would have recomputed bit-identically.
-//
-// The Planner (Plan) computes the dirty set anyway — by diffing the base
-// and mutated partitions' zone hashes — for observability
-// (the dirty-fraction histogram, span attributes, per-zone progress rows).
+// What a solve reused is read from the solve itself: the zone counters
+// below, and each zone span's cache_hit attribute.
 package incr
 
 import (
 	"sync/atomic"
 
 	"sagrelay/internal/fault"
-	"sagrelay/internal/obs"
 )
 
 // siteZone is the fault-injection point checked on every zone-store lookup;
 // one atomic load when injection is off. Arming it makes incremental solves
 // fail mid-splice, which the chaos suite uses to prove jobs stay terminal.
 var siteZone = fault.Register("incr.zone")
-
-// FractionBuckets are histogram bounds for ratio-valued observations in
-// [0, 1], bucketed around the interesting "how much of the work was dirty"
-// break points.
-var FractionBuckets = []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
-
-// dirtyFraction records, per planned resolve, the fraction of the mutated
-// scenario's zones whose inputs changed.
-var dirtyFraction = obs.Default.NewHistogram(
-	"sag_incr_dirty_fraction",
-	"Fraction of zones re-solved (not cache-spliced) per incremental resolve.",
-	FractionBuckets,
-)
 
 // zonesReused / zonesResolved count zone-level coverage outcomes
 // process-wide across all jobs: a reuse is a zone-store hit spliced into a

@@ -38,8 +38,9 @@ type ILPOptions struct {
 }
 
 // DefaultMaxZoneSS is the default sub-zone size cap applied when
-// ILPOptions.MaxZoneSS is zero; exported so the incremental planner
-// (internal/incr) reproduces the exact zone partition a solve will use.
+// ILPOptions.MaxZoneSS is zero; exported so a caller can reproduce the
+// zone partition an ILP solve uses: ZonePartition, then SplitLargeZones
+// with this cap.
 const DefaultMaxZoneSS = 10
 
 func (o ILPOptions) withDefaults() ILPOptions {

@@ -10,10 +10,9 @@ import (
 )
 
 // FlightRecord is the retained postmortem evidence for one completed unit
-// of work (a solve job, a resolve): identity, outcome, timings, and an
-// opaque Detail document the recording layer fills with whatever it wants
-// preserved (trace doc, progress curve). Records are immutable once
-// recorded.
+// of work (a solve job): identity, outcome, timings, and an opaque Detail
+// document the recording layer fills with whatever it wants preserved
+// (trace doc, progress curve). Records are immutable once recorded.
 type FlightRecord struct {
 	ID      string    `json:"id"`
 	Kind    string    `json:"kind"`

@@ -249,35 +249,38 @@ func randomDelta(rng *rand.Rand, sc *Scenario, nextID *int) *Delta {
 func TestZoneHashVariants(t *testing.T) {
 	sc := deltaTestScenario(t, 5, 10)
 	zone := []int{0, 2, 4}
-
-	// Stable under re-hashing, sensitive to membership and order.
-	if sc.CanonicalZoneHash(zone) != sc.CanonicalZoneHash(zone) {
-		t.Fatal("zone hash not deterministic")
-	}
-	if sc.CanonicalZoneHash(zone) == sc.CanonicalZoneHash([]int{0, 2, 5}) {
-		t.Fatal("different membership, same hash")
+	same := func(a, b *Scenario, za, zb []int) bool {
+		return bytes.Equal(a.CanonicalZoneBytes(za), b.CanonicalZoneBytes(zb))
 	}
 
-	// Subscriber IDs are excluded: renumbering IDs must not change the hash.
+	// Stable under re-encoding, sensitive to membership.
+	if !same(sc, sc, zone, zone) {
+		t.Fatal("zone bytes not deterministic")
+	}
+	if same(sc, sc, zone, []int{0, 2, 5}) {
+		t.Fatal("different membership, same zone bytes")
+	}
+
+	// Subscriber IDs are excluded: renumbering IDs must not change the bytes.
 	renum := sc.clone()
 	for i := range renum.Subscribers {
 		renum.Subscribers[i].ID += 1000
 	}
-	if sc.CanonicalZoneHash(zone) != renum.CanonicalZoneHash(zone) {
-		t.Fatal("ID renumbering changed the coverage zone hash")
+	if !same(sc, renum, zone, zone) {
+		t.Fatal("ID renumbering changed the coverage zone bytes")
 	}
 
-	// Coverage placement never reads MinRxPower, so neither does the hash.
+	// Coverage placement never reads MinRxPower, so neither do the bytes.
 	bumped := sc.clone()
 	bumped.Subscribers[2].MinRxPower *= 2
-	if sc.CanonicalZoneHash(zone) != bumped.CanonicalZoneHash(zone) {
-		t.Fatal("MinRxPower changed the coverage zone hash")
+	if !same(sc, bumped, zone, zone) {
+		t.Fatal("MinRxPower changed the coverage zone bytes")
 	}
 
-	// A subscriber outside the zone is invisible to the zone hash.
+	// A subscriber outside the zone is invisible to the zone bytes.
 	other := sc.clone()
 	other.Subscribers[1].Pos.X += 17
-	if sc.CanonicalZoneHash(zone) != other.CanonicalZoneHash(zone) {
-		t.Fatal("non-member change affected the zone hash")
+	if !same(sc, other, zone, zone) {
+		t.Fatal("non-member change affected the zone bytes")
 	}
 }

@@ -1,10 +1,5 @@
 package scenario
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
-
 // Per-zone canonical sub-hashing. The zone partition (Alg. 2) decomposes the
 // lower tier into independent subproblems, so a zone's solver inputs can be
 // content-addressed independently of the rest of the field: two zones with
@@ -53,11 +48,4 @@ func (sc *Scenario) CanonicalZoneBytes(zone []int) []byte {
 		b.field("s", s.Pos.X, s.Pos.Y, s.DistReq)
 	}
 	return b.Bytes()
-}
-
-// CanonicalZoneHash returns the SHA-256 of CanonicalZoneBytes as lowercase
-// hex — the zone's content address.
-func (sc *Scenario) CanonicalZoneHash(zone []int) string {
-	sum := sha256.Sum256(sc.CanonicalZoneBytes(zone))
-	return hex.EncodeToString(sum[:])
 }

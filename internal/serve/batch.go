@@ -406,6 +406,16 @@ func (b *Batch) finished() bool {
 	}
 }
 
+// settled reports whether every member job is terminal.
+func (b *Batch) settled() bool {
+	for _, it := range b.items {
+		if it.Job != nil && !it.Job.terminal() {
+			return false
+		}
+	}
+	return true
+}
+
 // Done returns a channel closed when every item is terminal.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
@@ -451,14 +461,16 @@ func (s *Server) BatchByID(id string) (*Batch, bool) {
 	return b, ok
 }
 
-// evictOldBatchesLocked trims the oldest finished batches beyond
-// Options.MaxBatches; live batches are never evicted.
+// evictOldBatchesLocked trims the oldest settled batches beyond
+// Options.MaxBatches; a batch with a live member job is never evicted. It
+// asks the member jobs rather than b.Done, which closes only once the
+// watchers have run, so replay evicts exactly what a live submit would.
 func (s *Server) evictOldBatchesLocked() {
 	for len(s.border) > s.opts.MaxBatches {
 		evicted := false
 		for i, id := range s.border {
 			b := s.batches[id]
-			if b == nil || b.finished() {
+			if b == nil || b.settled() {
 				delete(s.batches, id)
 				s.border = append(s.border[:i], s.border[i+1:]...)
 				evicted = true
@@ -472,9 +484,10 @@ func (s *Server) evictOldBatchesLocked() {
 }
 
 // restoreBatch rebuilds one journaled batch over the already-restored job
-// table during replay. Watchers re-attach, so a batch whose members the
-// crash left unfinished completes when the replayed jobs do. Runs on the
-// single-threaded NewServer path; no locking needed.
+// table during replay, and evicts old batches as a live submit does.
+// Watchers re-attach, so a batch whose members the crash left unfinished
+// completes when the replayed jobs do. Runs on the single-threaded
+// NewServer path; no locking needed.
 func (s *Server) restoreBatch(id string, doc json.RawMessage) {
 	var d batchRecDoc
 	if err := json.Unmarshal(doc, &d); err != nil {
@@ -500,6 +513,7 @@ func (s *Server) restoreBatch(id string, doc json.RawMessage) {
 	b.arm()
 	s.batches[id] = b
 	s.border = append(s.border, id)
+	s.evictOldBatchesLocked()
 }
 
 // --- wire documents -------------------------------------------------------

@@ -350,6 +350,52 @@ func TestBatchReplayKeepsLegacyShedRejection(t *testing.T) {
 	<-next.Done()
 }
 
+// TestBatchJournalBoundedAcrossRestarts: replay keeps the batch table and
+// the journal's batch records within MaxBatches, as a live server keeps its
+// table. Each life submits three one-item batches against MaxBatches 2; at
+// every restart the restored batches and the compacted journal's batch
+// lines must stay at two instead of growing by three per life.
+func TestBatchJournalBoundedAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	const maxBatches = 2
+	seed := int64(800)
+	for life := 0; life < 5; life++ {
+		s := newTestServer(t, Options{DataDir: dir, MaxBatches: maxBatches})
+		if life > 0 {
+			s.mu.Lock()
+			restored := len(s.border)
+			s.mu.Unlock()
+			if restored != maxBatches {
+				t.Errorf("life %d: %d batches restored, want %d", life, restored, maxBatches)
+			}
+			recs, _, err := readJournal(journalPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := 0
+			for _, r := range recs {
+				if r.T == recBatch {
+					lines++
+				}
+			}
+			if lines != maxBatches {
+				t.Errorf("life %d: compacted journal has %d batch records, want %d", life, lines, maxBatches)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			seed++
+			b, err := s.SubmitBatch(BatchRequest{Items: []BatchItemRequest{{Scenario: distinctScenario(t, seed)}}})
+			if err != nil {
+				t.Fatalf("life %d: SubmitBatch: %v", life, err)
+			}
+			<-b.Done()
+		}
+		if err := shutdownNow(t, s, 30*time.Second); err != nil {
+			t.Fatalf("life %d: shutdown: %v", life, err)
+		}
+	}
+}
+
 // copyDir snapshots a journal data dir mid-run — the kill -9 image a crash
 // would leave (appends are fsynced, so the copy sees every acknowledged
 // record; at worst a torn tail, which the reader tolerates).

@@ -50,13 +50,9 @@ func (s *Server) recordFlight(job *Job, outcome string, bad, degraded bool) {
 	if err != nil {
 		detailBytes = nil
 	}
-	kind := "solve"
-	if job.incr != nil {
-		kind = "resolve"
-	}
 	s.flight.Record(obs.FlightRecord{
 		ID:      job.ID,
-		Kind:    kind,
+		Kind:    "solve",
 		Outcome: outcome,
 		Client:  job.client,
 		Error:   errMsg,

@@ -33,9 +33,6 @@ type Job struct {
 	// base. Empty for journal-restored jobs whose request bytes were not
 	// retained. Immutable after publication.
 	ScenarioHash string
-	// incr is non-nil for jobs submitted through Resolve: the dirty-set
-	// plan runJob consults. Immutable after publication.
-	incr *incrMeta
 	// client is the submitting client's rate-limit identity (empty for
 	// internal callers), carried into logs and the flight record.
 	// Immutable after publication.
@@ -82,11 +79,6 @@ type jobStatus struct {
 	Created      string   `json:"created"`
 	// ElapsedMS is queue+solve wall-clock so far (or total once terminal).
 	ElapsedMS int64 `json:"elapsed_ms"`
-	// The incremental fields appear on jobs submitted through /v1/resolve:
-	// how many of the mutated scenario's zones the planner found dirty.
-	TotalZones    int     `json:"total_zones,omitempty"`
-	DirtyZones    int     `json:"dirty_zones,omitempty"`
-	DirtyFraction float64 `json:"dirty_fraction,omitempty"`
 }
 
 func (j *Job) status() jobStatus {
@@ -96,7 +88,7 @@ func (j *Job) status() jobStatus {
 	if end.IsZero() {
 		end = time.Now()
 	}
-	st := jobStatus{
+	return jobStatus{
 		Schema:       jobSchema,
 		ID:           j.ID,
 		Key:          j.Key,
@@ -107,12 +99,6 @@ func (j *Job) status() jobStatus {
 		Created:      j.created.UTC().Format(time.RFC3339Nano),
 		ElapsedMS:    end.Sub(j.created).Milliseconds(),
 	}
-	if m := j.incr; m != nil {
-		st.TotalZones = m.plan.TotalZones
-		st.DirtyZones = m.plan.DirtyZones
-		st.DirtyFraction = m.plan.DirtyFraction
-	}
-	return st
 }
 
 // resultBytes returns the finished document, or nil when the job is not

@@ -15,19 +15,21 @@ import (
 // error-detection properties than IEEE for short records.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Journal record types. A job's durable lifecycle is submit -> start ->
-// done|fail|cancel|interrupt. Records whose job never reached done, fail or
-// cancel are replayed (re-run) on the next startup: submit/start mean the
-// process died mid-job, and interrupt means a graceful shutdown drained the
-// job before it could finish — both owe the client a result. cancel is a
-// deliberate client- or deadline-initiated abort and stays dead.
+// Journal record types. A job's durable lifecycle is submit ->
+// done|fail|cancel. A job whose submit has no terminal record is re-run on
+// the next startup: the process died, or a graceful shutdown drained it,
+// before it could finish, and either way the client is owed a result.
+// cancel is a deliberate client- or deadline-initiated abort and stays
+// dead. Journals written by older servers also carry start records (and
+// "interrupt" ones); replay reads them as no record at all.
 const (
-	recSubmit    = "submit"
-	recStart     = "start"
-	recDone      = "done"
-	recFail      = "fail"
-	recCancel    = "cancel"
-	recInterrupt = "interrupt"
+	recSubmit = "submit"
+	recDone   = "done"
+	recFail   = "fail"
+	recCancel = "cancel"
+	// recStart is no longer written: older servers journaled one per
+	// solved job. Replay ignores it.
+	recStart = "start"
 	// recBatch groups already-journaled jobs into a batch: the record's ID
 	// is the batch ID and its Doc holds the membership (item -> job ID or
 	// inline rejection). Item lifecycles live in the member jobs' own

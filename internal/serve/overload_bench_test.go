@@ -94,12 +94,17 @@ func (st *replayStats) add(o replayStats) {
 
 // report hands each metric of st, pooled over its replays, to emit:
 // answers per second of offered traffic (on-time/s), the share of sent
-// requests answered, exact (non-degraded) answers per second, the
-// per-replay counts of cancelled (deadline hit with no answer), refused,
-// queue-full, failed and degraded jobs, p50 and p99 latency of the answers
-// with a 95% bootstrap interval for the p99, and the p99 over every
-// request sent (req-p99-s), which reads +Inf once more than 1% of the
-// requests go unanswered.
+// requests answered, exact (non-degraded) answers per second, the share of
+// sent requests answered exactly (exact-share), the per-replay counts of
+// cancelled (deadline hit with no answer), refused, queue-full, failed and
+// degraded jobs, p50 and p99 latency of the answers with a 95% bootstrap
+// interval for the p99, and the p99 over every request sent (req-p99-s),
+// which reads +Inf once more than 1% of the requests go unanswered.
+//
+// exact-share is the headline of a paired comparison. Each replay
+// calibrates its own offered rate, so host speed drift changes the load
+// and exact/s with it; exact-share is a ratio to the replay's own load, so
+// the drift cancels out.
 func (st *replayStats) report(emit func(v float64, unit string)) {
 	n := float64(st.Replays)
 	slices.Sort(st.Latencies)
@@ -107,6 +112,7 @@ func (st *replayStats) report(emit func(v float64, unit string)) {
 	emit(float64(st.Answered)/st.Seconds, "on-time/s")
 	emit(float64(st.Answered)/float64(st.Sent), "answered-share")
 	emit(float64(st.Answered-st.Degraded)/st.Seconds, "exact/s")
+	emit(float64(st.Answered-st.Degraded)/float64(st.Sent), "exact-share")
 	emit(float64(st.Cancelled)/n, "cancelled/op")
 	emit(float64(st.Refused)/n, "refused/op")
 	emit(float64(st.Rejected)/n, "queue-full/op")

@@ -26,8 +26,7 @@ const curveCoalesce = 20 * time.Millisecond
 type zoneRow struct {
 	Zone        int     `json:"zone"`
 	Subscribers int     `json:"subscribers"`
-	Phase       string  `json:"phase"` // pending | solving | done | reused
-	Dirty       bool    `json:"dirty,omitempty"`
+	Phase       string  `json:"phase"` // solving | done | reused
 	Nodes       int     `json:"nodes"`
 	Pivots      int     `json:"pivots"`
 	WarmSolves  int     `json:"warm_solves"`
@@ -92,20 +91,6 @@ func newJobProgress() *jobProgress {
 	return &jobProgress{
 		zones:   make(map[int]*zoneRow),
 		changed: make(chan struct{}),
-	}
-}
-
-// seed pre-creates zone rows (resolve jobs: the planner already knows the
-// partition), so watchers see the full zone set before any solver event.
-func (p *jobProgress) seed(sizes []int, dirty []bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for zi, n := range sizes {
-		row := &zoneRow{Zone: zi, Subscribers: n, Phase: "pending"}
-		if zi < len(dirty) {
-			row.Dirty = dirty[zi]
-		}
-		p.zones[zi] = row
 	}
 }
 

@@ -133,6 +133,35 @@ func TestJournalRestoresFinishedJobsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestSolvedJobJournalsOnlySubmitAndDone: replay reads a job's submit and
+// its terminal record and nothing else, so a solved job's journal lines are
+// exactly those two (no start record, no fsync spent on one).
+func TestSolvedJobJournalsOnlySubmitAndDone(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{DataDir: dir})
+	job := submitAndWait(t, s, tinyScenario(t), SolveOptions{})
+	if st := job.status(); st.State != StateDone || st.CacheHit {
+		t.Fatalf("job = %v (cache hit %v), want a solved done job", st.State, st.CacheHit)
+	}
+	if err := shutdownNow(t, s, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recs, corrupt, err := readJournal(journalPath(dir))
+	if err != nil || corrupt != 0 {
+		t.Fatalf("readJournal: %v (%d corrupt)", err, corrupt)
+	}
+	var got []string
+	for _, r := range recs {
+		if r.ID != job.ID {
+			t.Errorf("journal record for unknown job %q", r.ID)
+		}
+		got = append(got, r.T)
+	}
+	if strings.Join(got, ",") != "submit,done" {
+		t.Errorf("journal records = %v, want [submit done]", got)
+	}
+}
+
 func TestJournalReplaysCrashedJobFromRawWAL(t *testing.T) {
 	// A crash leaves submit+start with no terminal record — plus, here, a
 	// torn half-written line, which the tolerant reader must stop at. The
@@ -202,7 +231,7 @@ func TestShutdownInterruptedJobRerunsAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	// Slow every simplex pivot block so the GAC job is still mid-solve when
-	// the forced shutdown lands; its cancellation journals as an interrupt.
+	// the forced shutdown lands; its cancellation journals nothing terminal.
 	armFault(t, "lp.pivot=delay:d=5ms")
 	a := newTestServer(t, Options{DataDir: dir, Workers: 2})
 	job, err := a.Submit(SolveRequest{

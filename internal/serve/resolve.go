@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sagrelay/internal/incr"
 	"sagrelay/internal/scenario"
 )
 
@@ -32,20 +31,14 @@ type ResolveRequest struct {
 	Options SolveOptions `json:"options"`
 }
 
-// incrMeta rides on a resolve's Job from Resolve to runJob: the base's
-// hash and the dirty-set plan, for the incr span and the job status.
-// Immutable after the job is published.
-type incrMeta struct {
-	baseHash string
-	plan     *incr.Plan
-}
-
 // Resolve applies a delta to a retained base scenario and submits the
 // mutated scenario as a regular job. The journal sees a plain solve request
 // (replay needs no base), the whole-result cache is consulted as usual (a
 // no-op delta is a pure cache hit), and the zone store makes the solve
-// incremental. Errors wrap ErrNoBase for a missing base, scenario.ErrBadDelta
-// / scenario.ErrUnknownEntity for a malformed or dangling delta.
+// incremental. What the solve reused is reported by the solve itself: the
+// zone spans' cache_hit attributes and the progress document's reused
+// rows. Errors wrap ErrNoBase for a missing base, scenario.ErrBadDelta /
+// scenario.ErrUnknownEntity for a malformed or dangling delta.
 func (s *Server) Resolve(req ResolveRequest) (*Job, error) {
 	return s.ResolveFrom("", req)
 }
@@ -79,22 +72,7 @@ func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	opts := req.Options.normalized()
-	cfg, err := opts.coreConfig()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	plan, err := s.incrStores.Plan(base, mutated, incr.PlanOptions{
-		Coverage: cfg.Coverage,
-		ILP:      cfg.ILP,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	job, err := s.submit(client, SolveRequest{Scenario: mutated, Options: opts}, &incrMeta{
-		baseHash: hash,
-		plan:     plan,
-	})
+	job, err := s.submit(client, SolveRequest{Scenario: mutated, Options: req.Options})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"sagrelay/internal/admit"
 	"sagrelay/internal/geom"
+	"sagrelay/internal/incr"
 	"sagrelay/internal/milp"
 	"sagrelay/internal/scenario"
 )
@@ -49,9 +50,10 @@ func moveDelta(id int, to geom.Point) *scenario.Delta {
 	}}
 }
 
-// stripTrace removes the span tree from a result document: resolve jobs
-// carry an extra "incr" span and all spans carry wall-clock timings, so
-// byte-identity claims compare everything except the trace.
+// stripTrace removes the span tree from a result document: spans carry
+// wall-clock timings and job IDs, and which zone spans hit the zone store
+// depends on what the server solved before, so byte-identity claims compare
+// everything except the trace.
 func stripTrace(t *testing.T, doc []byte) []byte {
 	t.Helper()
 	var r ResultDoc
@@ -131,7 +133,9 @@ func TestResolveNoOpDelta(t *testing.T) {
 // TestResolveMatchesColdSolve chains three deltas — a small in-cluster move,
 // a zone-emptying removal, and a partition-changing cross-field move — and
 // checks each resolved result is byte-identical (modulo trace) to a cold
-// solve of the same mutated scenario on a fresh server.
+// solve of the same mutated scenario on a fresh server. Each resolve's
+// progress document shows what the solve did: every zone visited, at least
+// one re-solved, and for the small move at least one spliced.
 func TestResolveMatchesColdSolve(t *testing.T) {
 	s := newTestServer(t, Options{})
 	sc := clusteredBase(t)
@@ -168,15 +172,16 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 		if state != StateDone {
 			t.Fatalf("%s: resolve: %v (%s)", step.name, state, rj.status().Error)
 		}
-		st := rj.status()
-		if st.TotalZones < 3 {
-			t.Errorf("%s: base has %d zones, want >= 3", step.name, st.TotalZones)
+		p := rj.progressState().snapshot(rj)
+		if p.ZonesSeen < 3 {
+			t.Errorf("%s: progress saw %d zones, want >= 3", step.name, p.ZonesSeen)
 		}
-		if st.DirtyZones < 1 || st.DirtyZones > st.TotalZones {
-			t.Errorf("%s: dirty zones %d/%d implausible", step.name, st.DirtyZones, st.TotalZones)
+		if p.ZonesDone-p.Reused < 1 {
+			t.Errorf("%s: progress shows %d zones done, %d reused; want >= 1 re-solved",
+				step.name, p.ZonesDone, p.Reused)
 		}
-		if i == 0 && st.DirtyZones >= st.TotalZones {
-			t.Errorf("small in-cluster move dirtied all %d zones", st.TotalZones)
+		if i == 0 && p.Reused < 1 {
+			t.Errorf("small in-cluster move reused %d zones, want >= 1", p.Reused)
 		}
 		mut, err := step.d.Apply(cur)
 		if err != nil {
@@ -186,6 +191,66 @@ func TestResolveMatchesColdSolve(t *testing.T) {
 			t.Errorf("%s: resolve differs from cold solve\nresolve: %s\ncold:    %s", step.name, got, want)
 		}
 		cur, baseJob = mut, rj.ID
+	}
+}
+
+// TestResolveReportsWhatTheSolveDid: a resolve's reuse numbers come from
+// its solve alone. The base is solved with SAMC and the resolve runs IAC,
+// whose zone keys differ, so the zone store has nothing to splice: the
+// progress document must report exactly the reuses the zone counter saw
+// (none), the job status carries no dirty-set guess, and the trace has no
+// span beside the solve's own.
+func TestResolveReportsWhatTheSolveDid(t *testing.T) {
+	s := newTestServer(t, Options{})
+	sc := clusteredBase(t)
+	base := submitAndWait(t, s, sc, SolveOptions{Coverage: "SAMC"})
+
+	reused0, resolved0 := incr.ZonesReused(), incr.ZonesResolved()
+	d := moveDelta(sc.Subscribers[0].ID, geom.Point{X: sc.Subscribers[0].Pos.X + 6, Y: sc.Subscribers[0].Pos.Y + 5})
+	rj, err := s.Resolve(ResolveRequest{BaseJob: base.ID, Delta: d, Options: SolveOptions{Coverage: "IAC"}})
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	waitDone(t, rj, 60*time.Second)
+	doc, state := rj.resultBytes()
+	if state != StateDone {
+		t.Fatalf("resolve: %v (%s)", state, rj.status().Error)
+	}
+
+	p := rj.progressState().snapshot(rj)
+	if got, want := int64(p.Reused), incr.ZonesReused()-reused0; got != want {
+		t.Errorf("progress zones_reused = %d, zone store spliced %d", got, want)
+	}
+	if got, want := int64(p.ZonesDone-p.Reused), incr.ZonesResolved()-resolved0; got != want {
+		t.Errorf("progress shows %d zones re-solved, zone store saw %d", got, want)
+	}
+	if p.ZonesSeen < 3 || p.ZonesDone != p.ZonesSeen {
+		t.Errorf("progress saw %d zones, %d done; want >= 3, all done", p.ZonesSeen, p.ZonesDone)
+	}
+
+	status, err := json.Marshal(rj.status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(status, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"total_zones", "dirty_zones", "dirty_fraction"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("job status carries %q: %s", k, status)
+		}
+	}
+
+	var res ResultDoc
+	if err := json.Unmarshal(doc, &res); err != nil {
+		t.Fatalf("result not JSON: %v", err)
+	}
+	if res.Trace == nil {
+		t.Fatal("resolve result has no trace")
+	}
+	if sp := res.Trace.Find("incr"); sp != nil {
+		t.Errorf("resolve trace has an incr span: %+v", sp)
 	}
 }
 

@@ -184,7 +184,7 @@ type Server struct {
 	border   []string // batch IDs in submission order, oldest first
 	bseq     int64
 	closed   bool
-	draining bool // Shutdown has begun: cancelled jobs journal as interrupted
+	draining bool // Shutdown has begun: cancelled jobs journal nothing and re-run
 }
 
 // NewServer starts the worker pool and returns a ready server. With
@@ -294,7 +294,8 @@ func (s *Server) replay(recs []jrec) {
 			rc := r
 			f.term = &rc
 		}
-		// recStart and recInterrupt leave the job pending: it owes a re-run.
+		// Any other record (an older server's start or interrupt) leaves
+		// the job pending: it owes a re-run.
 	}
 	s.seq = maxSeq
 	s.bseq = maxBSeq
@@ -370,9 +371,17 @@ func (s *Server) replay(recs []jrec) {
 	}
 	s.evictOldLocked() // NewServer is single-threaded here; lock not yet needed
 
-	// Compact before the re-runs append fresh start/terminal records. Batch
-	// membership records come after every member job's records, matching the
-	// order appends produce.
+	// Rebuild batches over the restored jobs: watchers re-attach to pending
+	// members, so a batch whose items the crash left unfinished completes
+	// once the re-runs below finish them. Restoring evicts old settled
+	// batches beyond MaxBatches, as live submits do.
+	for _, r := range batchRecs {
+		s.restoreBatch(r.ID, r.Doc)
+	}
+
+	// Compact to the retained jobs and batches before the re-runs append
+	// fresh terminal records. Batch membership records come after every
+	// member job's records, matching the order appends produce.
 	var compacted []jrec
 	for _, id := range s.order {
 		f := byID[id]
@@ -381,16 +390,13 @@ func (s *Server) replay(recs []jrec) {
 			compacted = append(compacted, tr)
 		}
 	}
-	compacted = append(compacted, batchRecs...)
+	for _, r := range batchRecs {
+		if _, ok := s.batches[r.ID]; ok {
+			compacted = append(compacted, r)
+		}
+	}
 	if err := s.journal.compact(compacted); err != nil {
 		s.metrics.JournalErrors.Add(1)
-	}
-
-	// Rebuild batches over the restored jobs: watchers re-attach to pending
-	// members, so a batch whose items the crash left unfinished completes
-	// once the re-runs below finish them.
-	for _, r := range batchRecs {
-		s.restoreBatch(r.ID, r.Doc)
 	}
 
 	// Re-run jobs are live again: they get a fresh deadline and progress
@@ -410,19 +416,18 @@ func (s *Server) replay(recs []jrec) {
 // error is ErrShuttingDown, ErrQueueFull, or a validation error from the
 // scenario or options (the HTTP layer maps these to 503, 429 and 400).
 func (s *Server) Submit(req SolveRequest) (*Job, error) {
-	return s.submit("", req, nil)
+	return s.submit("", req)
 }
 
 // SubmitFrom is Submit with a client identity for per-client rate limiting
 // (the HTTP layer passes the API key or remote address). An empty client is
 // never rate limited.
 func (s *Server) SubmitFrom(client string, req SolveRequest) (*Job, error) {
-	return s.submit(client, req, nil)
+	return s.submit(client, req)
 }
 
-// submit is Submit plus the resolve path's incremental metadata, attached to
-// the job under the publication lock so runJob sees it race-free.
-func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, error) {
+// submit is SubmitFrom's body, shared with the resolve path.
+func (s *Server) submit(client string, req SolveRequest) (*Job, error) {
 	if req.Scenario == nil {
 		return nil, fmt.Errorf("serve: request has no scenario")
 	}
@@ -450,13 +455,6 @@ func (s *Server) submit(client string, req SolveRequest, meta *incrMeta) (*Job, 
 		return nil, ErrShuttingDown
 	}
 	job := s.publishLocked(sub)
-	job.incr = meta
-	if meta != nil && job.progress != nil {
-		// The resolve planner already knows the zone partition and the
-		// dirty set; pre-seed the rows so a watcher sees the full zone map
-		// before the first solver event.
-		job.progress.seed(meta.plan.ZoneSizes, meta.plan.Dirty)
-	}
 	s.evictOldLocked()
 	s.mu.Unlock()
 
@@ -514,7 +512,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 	job.markRunning()
 	queueWaitSeconds.Observe(time.Since(job.created).Seconds())
-	s.jappend(jrec{T: recStart, ID: job.ID, Key: job.Key})
 	s.log.Info("job start", obs.LogJobID, job.ID)
 	if p := job.progressState(); p != nil {
 		// Arm the branch-and-bound progress hook: every zone solve under
@@ -537,14 +534,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	// Every job runs through the shared zone store: full solves populate
 	// it, repeat or delta'd scenarios splice zone placements from it.
 	s.incrStores.Wire(&cfg)
-	if m := job.incr; m != nil {
-		sp := tr.Root().StartChild("incr")
-		sp.SetAttr("base_scenario_hash", m.baseHash)
-		sp.SetInt("total_zones", int64(m.plan.TotalZones))
-		sp.SetInt("dirty_zones", int64(m.plan.DirtyZones))
-		sp.SetFloat("dirty_fraction", m.plan.DirtyFraction)
-		sp.End()
-	}
 
 	// Bind degrade overtime to forced shutdown: once the job's deadline has
 	// expired the ladder's detached context ignores ctx, so cancelAll must
@@ -611,14 +600,13 @@ func (s *Server) failJob(job *Job, msg string) {
 	s.recordFlight(job, "failed", true, false)
 }
 
-// cancelJob finishes a cancelled job. During shutdown the journal records an
-// interrupt instead of a cancel: the client never asked for the abort, so
-// the next start re-runs the job; a deliberate cancel (client DELETE or
-// per-job deadline) stays dead across restarts.
+// cancelJob finishes a cancelled job. During shutdown the journal records
+// nothing: the client never asked for the abort, so the next start re-runs
+// the job; a deliberate cancel (client DELETE or per-job deadline) is
+// journaled and stays dead across restarts.
 func (s *Server) cancelJob(job *Job, msg string) {
 	s.metrics.JobsCancelled.Add(1)
 	if s.isDraining() {
-		s.jappend(jrec{T: recInterrupt, ID: job.ID, Err: msg})
 		job.finish(StateCancelled, nil, "interrupted by shutdown: "+msg)
 		s.log.Info("job interrupted by shutdown", obs.LogJobID, job.ID)
 		return
