@@ -86,12 +86,14 @@ go test -race -tags faultinject -run Chaos -count=1 -timeout 20m ./internal/serv
 # pre-warm-start baseline, so the >= 2x reduction is enforced, not just
 # recorded). The -race warm-start pass hammers the per-Solver basis
 # buffers from concurrent goroutines to prove warm-start state never leaks
-# across solvers.
+# across solvers, and compares every refactorization of the factor-reuse
+# searches and of full-size IAC zones with the reference that eliminates
+# every basic column (TestRefactorMatchesReference).
 echo "== go test -run TestPivotRegressionGate ./internal/milp/"
 go test -count=1 -run TestPivotRegressionGate ./internal/milp/
 
-echo "== go test -race -run 'Warm' ./internal/lp/ ./internal/milp/"
-go test -race -count=1 -run 'Warm' -timeout 10m ./internal/lp/ ./internal/milp/
+echo "== go test -race -run 'Warm|Refactor' ./internal/lp/ ./internal/milp/"
+go test -race -count=1 -run 'Warm|Refactor' -timeout 10m ./internal/lp/ ./internal/milp/
 
 # Hitting-set equivalence gate: local search must take the same swaps as
 # the reference kept in internal/hitting/reference_test.go. The -short race

@@ -2,9 +2,11 @@ package lp_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,21 +58,20 @@ func sameSearch(t *testing.T, name string, on, off *milp.Result) {
 	}
 }
 
-// TestFactorReuseBitIdentical solves branch-and-bound instances with factor
-// reuse on and off: the pinned ILPQC zone, the gac-sweep-sized zone at both
-// node caps the benchmarks use, and 100 random covering ILPs. Restoring a
-// parked factorization must change neither the search nor a single bit of
-// the answer, and must actually happen.
-func TestFactorReuseBitIdentical(t *testing.T) {
-	type instance struct {
-		name  string
-		p     *lp.Problem
-		isInt []bool
-		opts  milp.Options
-	}
+// searchInstance is one branch-and-bound search of the factorization tests.
+type searchInstance struct {
+	name  string
+	p     *lp.Problem
+	isInt []bool
+	opts  milp.Options
+}
+
+// searchInstances returns the pinned ILPQC zone, the gac-sweep-sized zone at
+// both node caps the benchmarks use, and 100 random covering ILPs.
+func searchInstances() []searchInstance {
 	ilpqc, ilpqcInt := benchprob.ILPQC()
 	gac, gacInt := benchprob.GACZone()
-	cases := []instance{
+	cases := []searchInstance{
 		{"ILPQC", ilpqc, ilpqcInt, milp.Options{}},
 		{"GACZone/10", gac, gacInt, milp.Options{MaxNodes: 10}},
 		{"GACZone/50", gac, gacInt, milp.Options{MaxNodes: 50}},
@@ -78,11 +79,39 @@ func TestFactorReuseBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 100; i++ {
 		p, isInt, _, _ := benchprob.Covering(rng.Int63(), 2+rng.Intn(9), 1+rng.Intn(12))
-		cases = append(cases, instance{"covering", p, isInt, milp.Options{}})
+		cases = append(cases, searchInstance{"covering", p, isInt, milp.Options{}})
 	}
+	return cases
+}
+
+// iacFields returns the 500x500, 30-subscriber fields of seeds 1, 2 and 3
+// (only 1 under -short) whose IAC zones the factorization tests search.
+func iacFields(t *testing.T) []*scenario.Scenario {
+	seeds := 3
+	if testing.Short() {
+		seeds = 1
+	}
+	var fields []*scenario.Scenario
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		sc, err := scenario.Generate(scenario.GenConfig{FieldSide: 500, NumSS: 30, NumBS: 4, SNRdB: -15, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields = append(fields, sc)
+	}
+	return fields
+}
+
+// iacOptions bounds each zone search of the IAC fields.
+var iacOptions = lower.ILPOptions{MaxNodes: 50, TimeLimit: time.Hour, Workers: 1}
+
+// TestFactorReuseBitIdentical solves the searchInstances with factor reuse
+// on and off. Restoring a parked factorization must change neither the
+// search nor a single bit of the answer, and must actually happen.
+func TestFactorReuseBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	var reused int64
-	for _, c := range cases {
+	for _, c := range searchInstances() {
 		var on, off *milp.Result
 		var errOn, errOff error
 		_, r := factorCounts(func() { on, errOn = milp.Solve(ctx, c.p, c.isInt, c.opts) })
@@ -104,11 +133,6 @@ func TestFactorReuseBitIdentical(t *testing.T) {
 // nodes, pivots, warm/cold split and incumbent bits, and the placements
 // (read off each zone's X) must be identical.
 func TestFactorReuseRealZones(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	opts := lower.ILPOptions{MaxNodes: 50, TimeLimit: time.Hour, Workers: 1}
 	solve := func(sc *scenario.Scenario) (*lower.Result, []milp.Progress) {
 		var finals []milp.Progress
 		ctx := milp.WithProgress(context.Background(), func(p milp.Progress) {
@@ -116,7 +140,7 @@ func TestFactorReuseRealZones(t *testing.T) {
 				finals = append(finals, p)
 			}
 		})
-		res, err := lower.IAC(ctx, sc, opts)
+		res, err := lower.IAC(ctx, sc, iacOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +148,8 @@ func TestFactorReuseRealZones(t *testing.T) {
 		return res, finals
 	}
 	var built, reused int64
-	for _, seed := range seeds {
-		sc, err := scenario.Generate(scenario.GenConfig{FieldSide: 500, NumSS: 30, NumBS: 4, SNRdB: -15, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, sc := range iacFields(t) {
+		seed := i + 1
 		var resOn, resOff *lower.Result
 		var on, off []milp.Progress
 		b, r := factorCounts(func() { resOn, on = solve(sc) })
@@ -226,4 +247,68 @@ func TestFactorRingInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after an objective edit", 0)
+}
+
+// TestRefactorMatchesReference runs the searches of
+// TestFactorReuseBitIdentical and the IAC zones of iacFields, and compares
+// every refactorization they warm-start from with the reference that
+// eliminates every basic column: tableau rows, basis, completed statuses and
+// reduced costs must agree bit for bit. On the GAC zone, refactor must also
+// eliminate fewer declared basic columns than the reference, or the skip of
+// the no-op eliminations has gone.
+func TestRefactorMatchesReference(t *testing.T) {
+	var mu sync.Mutex
+	var checked, elims, refElims int
+	var mismatch string
+	stop := lp.WatchRefactors(func(c lp.RefactorCheck) {
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		elims += c.Elims
+		refElims += c.RefElims
+		if mismatch == "" && c.Mismatch != "" {
+			mismatch = fmt.Sprintf("refactorization %d: %s", checked, c.Mismatch)
+		}
+	})
+	defer stop()
+	watch := func(name string, search func() error) {
+		t.Helper()
+		mu.Lock()
+		checked, elims, refElims = 0, 0, 0
+		mu.Unlock()
+		if err := search(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if mismatch != "" {
+			t.Fatalf("%s: differs from the reference at %s", name, mismatch)
+		}
+		if name == "GACZone/10" || name == "GACZone/50" {
+			if elims >= refElims {
+				t.Fatalf("%s: %d eliminations, the reference %d", name, elims, refElims)
+			}
+			t.Logf("%s: %d refactorizations, %d eliminations, the reference %d", name, checked, elims, refElims)
+		}
+	}
+	ctx := context.Background()
+	total := 0
+	for _, c := range searchInstances() {
+		watch(c.name, func() error {
+			_, err := milp.Solve(ctx, c.p, c.isInt, c.opts)
+			return err
+		})
+		total += checked
+	}
+	for i, sc := range iacFields(t) {
+		watch(fmt.Sprintf("IAC seed %d", i+1), func() error {
+			_, err := lower.IAC(ctx, sc, iacOptions)
+			return err
+		})
+		t.Logf("IAC seed %d: %d refactorizations, %d eliminations, the reference %d", i+1, checked, elims, refElims)
+		total += checked
+	}
+	if total == 0 {
+		t.Fatal("no refactorization was compared")
+	}
 }

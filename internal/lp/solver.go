@@ -99,6 +99,7 @@ type Solver struct {
 	wweight []float64
 	wcands  []dualCand
 	wvals   []float64
+	pivoted []bool // refactor's rows that have been pivot rows
 
 	// ring indexes the warm factorizations parked in flat (factor.go).
 	ring factorRing
@@ -198,8 +199,8 @@ func (s *Solver) solveCold(ctx context.Context, p *Problem, lower, upper map[int
 // solution: columns at a bound become nonbasic at that bound, columns
 // strictly inside become Basic. The crash can under-determine the basis on
 // degenerate vertices (fewer than m Basic columns) — the warm-start
-// factorization completes it deterministically with logical columns, and
-// falls back to a cold solve if the completion is singular.
+// factorization completes it with each leftover row's own logical, and
+// falls back to a cold solve if the declared columns are singular.
 func (s *Solver) basisFromPoint(p *Problem, x []float64) *Basis {
 	n, m := len(p.obj), len(p.cons)
 	st := make([]VarStatus, n+m)
@@ -241,25 +242,22 @@ func (s *Solver) basisFromPoint(p *Problem, x []float64) *Basis {
 }
 
 // grow returns buf resized to n, reallocating only when capacity is short.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-func growInt(buf []int, n int) []int {
+// growZeroed is grow with every element zero. A fresh array already is, so
+// only a reused one is cleared.
+func growZeroed[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
-	return buf[:n]
-}
-
-func growStatus(buf []VarStatus, n int) []VarStatus {
-	if cap(buf) < n {
-		return make([]VarStatus, n)
-	}
-	return buf[:n]
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // validateInputs rejects non-finite model inputs up front: a single NaN
@@ -393,9 +391,7 @@ func (s *Solver) build(p *Problem, lower, upper map[int]float64) (*tableau, erro
 	// Lay the m rows out in one flat backing array, reused across solves.
 	// The build overwrites any factorizations parked there.
 	s.dropFactors()
-	need := m * width
-	s.flat = grow(s.flat, need)
-	clear(s.flat)
+	s.flat = growZeroed(s.flat, m*width)
 	if cap(s.rows) < m {
 		s.rows = make([][]float64, m)
 	}
@@ -403,13 +399,12 @@ func (s *Solver) build(p *Problem, lower, upper map[int]float64) (*tableau, erro
 	for i := 0; i < m; i++ {
 		s.rows[i] = s.flat[i*width : (i+1)*width]
 	}
-	s.basis = growInt(s.basis, m)
-	s.objRow = grow(s.objRow, width)
-	clear(s.objRow)
+	s.basis = grow(s.basis, m)
+	s.objRow = growZeroed(s.objRow, width)
 	s.origObj = grow(s.origObj, n)
 	copy(s.origObj, p.obj)
 	s.devex = grow(s.devex, nCols)
-	s.nz = growInt(s.nz, width)
+	s.nz = grow(s.nz, width)
 
 	t := &tableau{
 		nStruct:    n,

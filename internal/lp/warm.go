@@ -99,15 +99,19 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 	for k := 0; k < m; k++ {
 		s.wrows[k] = s.wflat[k*width : (k+1)*width]
 	}
-	s.nz = growInt(s.nz, width)
-	s.wstatus = growStatus(s.wstatus, ncols)
-	s.wbasis = growInt(s.wbasis, m)
+	s.nz = grow(s.nz, width)
+	s.wstatus = grow(s.wstatus, ncols)
+	s.wbasis = grow(s.wbasis, m)
 	s.wd = grow(s.wd, ncols)
 	if s.restoreFactor(p, basis) {
 		factorReusesTotal.Add(1)
 	} else {
 		refactorizationsTotal.Add(1)
-		if err := s.refactor(p, basis); err != nil {
+		err := s.refactor(p, basis)
+		if refactorHook != nil {
+			refactorHook(s, p, basis, err)
+		}
+		if err != nil {
 			return nil, err
 		}
 		s.parkFactor(p, basis)
@@ -181,14 +185,26 @@ func (s *Solver) warmAttempt(ctx context.Context, p *Problem, lower, upper map[i
 	return sol, err
 }
 
+// refactorHook, when set, sees every refactorization's result; tests use it
+// to compare refactor with a reference.
+var refactorHook func(s *Solver, p *Problem, basis *Basis, err error)
+
 // refactor builds the raw tableau [A | I | b] in s.wrows and factorizes
 // basis into it: each declared basic column is eliminated (ascending index,
 // largest available pivot element, ties to the lowest row — deterministic),
-// then any degenerate remainder is completed with logical (then structural)
-// columns. It leaves B^-1 [A | I | b] in s.wrows, the row-to-column basis in
-// s.wbasis, the completed statuses in s.wstatus and the reduced costs in
-// s.wd; no variable bound is read. A near-zero pivot means the basis went
-// singular.
+// then every row still free takes its own logical. It leaves B^-1 [A | I | b]
+// in s.wrows, the row-to-column basis in s.wbasis, the completed statuses in
+// s.wstatus and the reduced costs in s.wd; no variable bound is read. A
+// near-zero pivot means the basis went singular.
+//
+// A logical column n+k is e_k in the raw tableau, and an elimination
+// changes it only through a pivot row with a nonzero in column n+k — which
+// only row k can have until row k itself pivots. Until then the pivot
+// search for n+k picks row k with an element of exactly 1 and no other row
+// has a nonzero to update, so the elimination would change no bit: such a
+// logical (and each row's own logical in the completion, whose rows never
+// pivoted) is assigned its row without one. s.pivoted marks the rows that
+// did pivot.
 func (s *Solver) refactor(p *Problem, basis *Basis) error {
 	n, m := len(p.obj), len(p.cons)
 	ncols := n + m
@@ -206,14 +222,20 @@ func (s *Solver) refactor(p *Problem, basis *Basis) error {
 	// free lists the rows not yet given a basic column, ascending, so the
 	// pivot search scans only those and still breaks ties to the lowest row.
 	// It borrows the cold path's basis buffer, idle during warm solves.
-	s.basis = growInt(s.basis, m)
+	s.basis = grow(s.basis, m)
 	free := s.basis
-	for r := range s.wbasis {
-		s.wbasis[r] = -1
+	for r := range free {
 		free[r] = r
 	}
+	s.pivoted = growZeroed(s.pivoted, m)
 	for j := 0; j < ncols; j++ {
 		if s.wstatus[j] != Basic {
+			continue
+		}
+		if k := j - n; k >= 0 && !s.pivoted[k] {
+			i, _ := slices.BinarySearch(free, k)
+			free = slices.Delete(free, i, i+1)
+			s.wbasis[k] = j
 			continue
 		}
 		best, bestAbs := -1, singEps
@@ -229,29 +251,11 @@ func (s *Solver) refactor(p *Problem, basis *Basis) error {
 		free = slices.Delete(free, best, best+1)
 		s.nz = eliminate(s.wrows, r, j, s.nz)
 		s.wbasis[r] = j
+		s.pivoted[r] = true
 	}
 	for _, r := range free {
-		pick := -1
-		if s.wstatus[n+r] != Basic && math.Abs(s.wrows[r][n+r]) > singEps {
-			pick = n + r // the row's own logical, the usual degenerate filler
-		} else {
-			for j := n; j < ncols && pick < 0; j++ {
-				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
-					pick = j
-				}
-			}
-			for j := 0; j < n && pick < 0; j++ {
-				if s.wstatus[j] != Basic && math.Abs(s.wrows[r][j]) > singEps {
-					pick = j
-				}
-			}
-		}
-		if pick < 0 {
-			return fmt.Errorf("%w: cannot complete degenerate basis at row %d", ErrWarmStart, r)
-		}
-		s.wstatus[pick] = Basic
-		s.nz = eliminate(s.wrows, r, pick, s.nz)
-		s.wbasis[r] = pick
+		s.wstatus[n+r] = Basic
+		s.wbasis[r] = n + r
 	}
 
 	// Reduced costs d = c - c_B^T B^-1 A (structural costs from the
@@ -509,7 +513,10 @@ func (s *Solver) warmSolution(p *Problem, its int) (*Solution, error) {
 		}
 	}
 
-	full := s.wvalsScratch(ncols)
+	// full holds every column's value, structural and logical, for the
+	// solution and the residual check below.
+	s.wvals = growZeroed(s.wvals, ncols)
+	full := s.wvals
 	for j := 0; j < ncols; j++ {
 		switch s.wstatus[j] {
 		case AtLower:
@@ -558,16 +565,4 @@ func (s *Solver) warmSolution(p *Problem, its int) (*Solution, error) {
 		WarmStarted: true,
 		Basis:       &Basis{status: append([]VarStatus(nil), s.wstatus[:ncols]...)},
 	}, nil
-}
-
-// wvalsScratch returns s.wvals sized to n and zeroed — scratch for the full
-// (structural + logical) value vector used during solution assembly and
-// residual verification.
-func (s *Solver) wvalsScratch(n int) []float64 {
-	if cap(s.wvals) < n {
-		s.wvals = make([]float64, n)
-	}
-	s.wvals = s.wvals[:n]
-	clear(s.wvals)
-	return s.wvals
 }
