@@ -54,7 +54,7 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # end-to-end gates are ordinary tests: a byte-identical cache hit with the
 # trace and Prometheus grammar checks (TestCacheHitIsByteIdenticalAndFree,
 # TestResultDocCarriesTrace, TestMetricsPrometheusHistograms), the pinned
-# sagmetrics/9 key order, a tight-deadline job behind a backlog answered
+# sagmetrics/10 key order, a tight-deadline job behind a backlog answered
 # degraded and uncached (TestTightDeadlineBehindBacklogAnsweredDegraded),
 # queue-full refusals at zero solver cost with accepted answers equal to an
 # unloaded server's (TestAnswersUnderStormMatchUnloaded), /healthz under a
@@ -67,6 +67,15 @@ echo "== (cd bench && go vet ./... && go test -race ./...)"
 # TestFlightRecordAfterJob).
 echo "== go test -race ./internal/serve/"
 go test -race -count=1 -timeout 10m ./internal/serve/
+
+# The journal's group commit under repetition: -race runs the committer
+# tests (fsyncs shared by queued waiters, an fsync error reaching every
+# waiter it covered), the fsyncs-per-request pins and the journal and
+# recovery tests (parent-format data dirs, evicted twins) 20 times each, so
+# a rare interleaving of writers, waiters and the fsync leader gets many
+# chances to show.
+echo "== go test -race -count=20 -run 'Journal|GroupCommit|Recovery' ./internal/serve/"
+go test -race -count=20 -run 'Journal|GroupCommit|Recovery' -timeout 20m ./internal/serve/
 
 # Overload replay, one iteration per phase (~2 min): EXPERIMENTS.md cites
 # BenchmarkOverloadReplay, so a panic, a b.Fatal or a job that ends failed

@@ -8,7 +8,7 @@
 //
 //	sagserved -addr :8080
 //	sagserved -addr 127.0.0.1:0 -workers 4 -max-job-time 30s
-//	sagserved -data-dir /var/lib/sagserved      # durable journal + results
+//	sagserved -data-dir /var/lib/sagserved      # durable job journal
 //	sagserved -fault 'milp.node=error:p=0.01'   # chaos: arm fault injection
 //	sagserved -pprof-addr 127.0.0.1:6060        # net/http/pprof side server
 //	sagserved -rate 5 -burst 10                 # per-client rate limiting
@@ -61,7 +61,7 @@ func run(args []string) error {
 		queue      = fs.Int("queue", 64, "queued-job bound before submissions get 429")
 		cacheEnts  = fs.Int("cache", 256, "result cache entries")
 		maxJobTime = fs.Duration("max-job-time", 2*time.Minute, "default and maximum per-job deadline")
-		dataDir    = fs.String("data-dir", "", "durable job journal + results directory (empty = in-memory only)")
+		dataDir    = fs.String("data-dir", "", "durable job journal directory (empty = in-memory only)")
 		faultSpec  = fs.String("fault", os.Getenv("SAGFAULT"),
 			"fault-injection spec, e.g. 'milp.node=error:p=0.01,serve.job=panic:n=3' (default $SAGFAULT; empty = off)")
 		faultSeed       = fs.Int64("fault-seed", 1, "fault-injection rng seed")

@@ -288,8 +288,8 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 	b.trace = tr
 
 	rec := batchRecDoc{Schema: batchSchema}
-	var feed []*submission
-	hits := 0
+	var feed, hits []*submission
+	var last jpending // the latest journal write; its sync covers every earlier one
 	for i, it := range b.items {
 		rec.Items = append(rec.Items, batchRecItem{Item: it.Index, Job: it.Job.ID, Point: it.Point, Run: it.Run, Values: it.Values})
 		sp := tr.Root().StartChild("batch.item")
@@ -299,12 +299,17 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 
 		sub := subs[i]
 		if sub.doc != nil {
-			s.answerFromCache(sub)
-			hits++
+			if p := s.journalHit(sub); p.pos > 0 {
+				last = p
+			}
+			hits = append(hits, sub)
 			continue
 		}
 		if s.journalSubmit(sub) != nil {
 			continue // refused: the item settles as cancelled
+		}
+		if sub.job.submitPos > 0 {
+			last = jpending{pos: sub.job.submitPos}
 		}
 		s.metrics.JobsAccepted.Add(1)
 		feed = append(feed, sub)
@@ -312,14 +317,20 @@ func (s *Server) SubmitBatchFrom(client string, req BatchRequest) (*Batch, error
 	// Membership record after every member's submit record, so replay folds
 	// jobs first and the batch only references known IDs.
 	if s.journal != nil {
-		if docBytes, err := json.Marshal(rec); err == nil {
-			s.jappend(jrec{T: recBatch, ID: b.ID, Doc: docBytes})
-		} else {
+		if docBytes, err := json.Marshal(rec); err != nil {
 			s.metrics.JournalErrors.Add(1)
+		} else if p := s.jwrite(nil, jrec{T: recBatch, ID: b.ID, Doc: docBytes}); p.pos > 0 {
+			last = p
 		}
 	}
+	// One fsync makes every member record and the batch record durable
+	// before any item is answered or the batch is.
+	s.jsync(last)
+	for _, sub := range hits {
+		s.finishHit(sub)
+	}
 	s.log.Info("batch accepted", obs.LogBatchID, b.ID, obs.LogClient, client,
-		"items", len(b.items), "cache_hits", hits)
+		"items", len(b.items), "cache_hits", len(hits))
 
 	b.arm()
 	s.inFlight.Add(1)

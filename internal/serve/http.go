@@ -74,7 +74,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, err)
 		return
 	}
-	job, err := s.SubmitFrom(clientKey(r), req)
+	job, err := s.submit(clientKey(r), req)
 	if err != nil {
 		s.writeAPIError(w, err)
 		return
@@ -91,7 +91,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, err)
 		return
 	}
-	job, err := s.ResolveFrom(clientKey(r), req)
+	job, err := s.resolve(clientKey(r), req)
 	if err != nil {
 		s.writeAPIError(w, err)
 		return
@@ -116,8 +116,11 @@ func clientKey(r *http.Request) string {
 	return "addr:" + host
 }
 
-// answerSubmit finishes a successful submission: 202 with the job status,
-// or — with ?wait=1 — block until the job finishes and serve its result. A
+// answerSubmit finishes a successful submission: 202 with the job status
+// once its submit record is durable, or — with ?wait=1 — block until the
+// job finishes and serve its result. The job finishes only after its
+// terminal record is durable, and that fsync covers the submit record
+// written before it, so a waited answer costs no separate submit fsync. A
 // client disconnect while waiting cancels the solve — the whole point of
 // the context plumbing — and the handler just unwinds.
 func (s *Server) answerSubmit(w http.ResponseWriter, r *http.Request, job *Job) {
@@ -136,6 +139,7 @@ func (s *Server) answerSubmit(w http.ResponseWriter, r *http.Request, job *Job) 
 		s.writeUnprocessable(w, job)
 		return
 	}
+	s.durable(job, nil)
 	writeJSON(w, http.StatusAccepted, job.status())
 }
 

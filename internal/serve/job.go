@@ -41,6 +41,10 @@ type Job struct {
 	// nil for cache hits and journal-restored terminal jobs. Immutable
 	// after publication.
 	progress *jobProgress
+	// submitPos is where the job's submit record ends in the journal, 0
+	// when the journal is off or the record is already durable. Set before
+	// the job is enqueued and read only by the submitting goroutine.
+	submitPos int64
 
 	// done is closed exactly once when the job reaches a terminal state;
 	// synchronous waiters (POST /v1/solve?wait=1) select on it.
@@ -58,9 +62,9 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	result   []byte
-	// trace is the finished solve's span-tree document, retained for the
-	// flight record (the result document embeds its own copy).
-	trace *obs.SpanDoc
+	// trace is the solve's span tree, retained for the flight record (the
+	// result document embeds its own snapshot); finish ends its root.
+	trace *obs.Trace
 }
 
 // jobSchema is the version tag of the job status document, serialized
@@ -135,6 +139,7 @@ func (j *Job) finish(state JobState, result []byte, errMsg string) {
 	j.result = result
 	j.err = errMsg
 	j.finished = time.Now()
+	j.trace.Finish()
 	close(j.done)
 }
 
@@ -168,18 +173,26 @@ func (j *Job) cancelNow() {
 // job never ran a solver (cache hit, restored terminal job).
 func (j *Job) progressState() *jobProgress { return j.progress }
 
-// setTrace retains the finished solve's span-tree document.
-func (j *Job) setTrace(doc *obs.SpanDoc) {
+// setTrace retains the solve's span tree.
+func (j *Job) setTrace(tr *obs.Trace) {
 	j.mu.Lock()
-	j.trace = doc
+	j.trace = tr
 	j.mu.Unlock()
+}
+
+// traceRoot returns the root span of the job's trace; nil when the job has
+// none (it never reached a solver).
+func (j *Job) traceRoot() *obs.Span {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.trace.Root()
 }
 
 // flightInfo snapshots the fields the flight recorder needs.
 func (j *Job) flightInfo() (errMsg string, cacheHit bool, created, started, finished time.Time, trace *obs.SpanDoc) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.err, j.cacheHit, j.created, j.started, j.finished, j.trace
+	return j.err, j.cacheHit, j.created, j.started, j.finished, j.trace.Doc()
 }
 
 // terminal reports whether the job has reached a final state.

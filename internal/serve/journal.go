@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // crcTable is the CRC32C (Castagnoli) polynomial table used to checksum
@@ -38,10 +39,11 @@ const (
 )
 
 // jrec is one JSONL line in the journal. Submit records carry the full
-// request so a replay can re-run the job; done records for degraded results
-// carry the document inline (degraded results are timing-dependent and are
-// deliberately kept out of the content-addressed results directory — see
-// runJob), while normal done records point at results/<key>.json via Key.
+// request so a replay can re-run the job; done records carry the result
+// document inline. A done record without a document is a cache hit (or a
+// solve journaled by an older server, whose document lives under
+// results/<key>.json): replay finds its bytes in an earlier doc-bearing
+// record of the same key.
 type jrec struct {
 	T   string          `json:"t"`
 	ID  string          `json:"id"`
@@ -51,14 +53,28 @@ type jrec struct {
 	Doc json.RawMessage `json:"doc,omitempty"`
 }
 
-// journal is the append-only JSONL write-ahead log plus the
-// content-addressed results directory under one data dir:
+// docDegraded reports whether a journaled result document is degraded (or
+// unreadable), so replay must keep it out of the content-addressed cache.
+func docDegraded(doc []byte) bool {
+	var d struct {
+		Degraded bool `json:"degraded"`
+	}
+	return json.Unmarshal(doc, &d) != nil || d.Degraded
+}
+
+// journal is the append-only JSONL write-ahead log under one data dir:
 //
-//	<dir>/journal.jsonl      lifecycle records, appended and fsynced per job event
-//	<dir>/results/<key>.json finished result documents, written tmp+rename
+//	<dir>/journal.jsonl      lifecycle records and finished result documents
+//	<dir>/results/<key>.json result documents of older servers, read only
 //
-// Every append is flushed and fsynced before it returns: a record the
-// server acted on (a 202 answered, a result served) survives kill -9.
+// Writing and durability are separate steps with a group commit between
+// them: write appends lines at once and returns the position they end at;
+// sync blocks until an fsync covers that position. The first waiter that
+// is not yet covered runs one fsync for everything written so far, and
+// waiters that arrive while it runs share the next one. Callers sync only
+// where the server makes a promise (a 202, a batch answer, a finished job),
+// so a record the server acted on survives kill -9, and records written
+// together are made durable together.
 //
 // Each line is written as "%08x <json>" — a CRC32C checksum over the JSON
 // bytes, then the record. The reader distinguishes two failure shapes: a
@@ -72,17 +88,36 @@ type journal struct {
 
 	mu sync.Mutex
 	f  *os.File
+	// written is the position (bytes appended through this journal) the
+	// last write ended at; synced is the position an fsync has covered.
+	written, synced int64
+	// round is the fsync in progress, nil when none runs.
+	round *syncRound
+
+	// fsyncs counts fsyncs of the journal (group commits and compactions).
+	fsyncs atomic.Int64
+	// beforeSync, when set, runs in the leader just before each group
+	// fsync. Tests use it to hold an fsync open; nil otherwise.
+	beforeSync func()
+}
+
+// syncRound is one group fsync: it covers every position up to target, and
+// done closes once it returns err.
+type syncRound struct {
+	target int64
+	done   chan struct{}
+	err    error
 }
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
 func resultsDir(dir string) string  { return filepath.Join(dir, "results") }
 
-// openJournal creates dir (and its results subdirectory) as needed, reads
+// openJournal creates dir as needed, reads
 // whatever journal survives there, and returns the parsed records alongside
 // a journal opened for appending, plus the count of quarantined mid-file
 // corrupt records.
 func openJournal(dir string) (*journal, []jrec, int64, error) {
-	if err := os.MkdirAll(resultsDir(dir), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: journal: %w", err)
 	}
 	recs, corrupt, err := readJournal(journalPath(dir))
@@ -172,19 +207,68 @@ func readJournal(path string) ([]jrec, int64, error) {
 	return recs, corrupt, nil
 }
 
-// append writes one checksummed record, flushed and fsynced before
-// returning.
-func (j *journal) append(r jrec) error {
-	line, err := encodeLine(&r)
-	if err != nil {
-		return err
+// write appends the records as checksummed lines in one write and returns
+// the position they end at and their size. The lines are not durable until
+// a sync covers that position.
+func (j *journal) write(recs ...jrec) (pos int64, n int, err error) {
+	var buf []byte
+	for i := range recs {
+		line, err := encodeLine(&recs[i])
+		if err != nil {
+			return 0, 0, err
+		}
+		buf = append(buf, line...)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
+	if _, err := j.f.Write(buf); err != nil {
+		return 0, 0, err
 	}
-	return j.f.Sync()
+	j.written += int64(len(buf))
+	return j.written, len(buf), nil
+}
+
+// sync blocks until an fsync covers pos. led reports whether this call ran
+// the fsync that covered it. An fsync error reaches every waiter the fsync
+// covered; a later sync retries.
+func (j *journal) sync(pos int64) (led bool, err error) {
+	j.mu.Lock()
+	for {
+		if j.synced >= pos {
+			j.mu.Unlock()
+			return false, nil
+		}
+		r := j.round
+		if r == nil {
+			break
+		}
+		j.mu.Unlock()
+		<-r.done
+		if r.target >= pos {
+			return false, r.err
+		}
+		// That fsync started before pos was written: the next one covers it.
+		j.mu.Lock()
+	}
+	r := &syncRound{target: j.written, done: make(chan struct{})}
+	j.round = r
+	f := j.f
+	j.mu.Unlock()
+
+	if j.beforeSync != nil {
+		j.beforeSync()
+	}
+	r.err = f.Sync()
+	j.fsyncs.Add(1)
+
+	j.mu.Lock()
+	if r.err == nil && r.target > j.synced {
+		j.synced = r.target
+	}
+	j.round = nil
+	j.mu.Unlock()
+	close(r.done)
+	return true, r.err
 }
 
 // compact atomically replaces the journal with just the given records —
@@ -210,7 +294,9 @@ func (j *journal) compact(recs []jrec) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	err = f.Sync()
+	j.fsyncs.Add(1)
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -228,42 +314,29 @@ func (j *journal) compact(recs []jrec) error {
 		return err
 	}
 	j.f = nf
+	j.synced = j.written // the compacted file is durable, and nothing follows it yet
 	return nil
 }
 
-// close releases the append handle.
-func (j *journal) close() {
+// close makes every written record durable and releases the append
+// handle. A job that graceful shutdown interrupts journals nothing terminal,
+// so this fsync is what keeps its submit for the next start.
+func (j *journal) close() error {
+	j.mu.Lock()
+	pos := j.written
+	j.mu.Unlock()
+	_, err := j.sync(pos)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.f.Close()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// writeResult durably stores a finished result document under its content
-// address via tmp+rename, so a crash can never leave a half-written file at
-// the final path.
-func (j *journal) writeResult(key string, doc []byte) error {
-	final := filepath.Join(resultsDir(j.dir), key+".json")
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
-}
-
-// loadResult reads a stored result document back; ok is false when the key
-// has no durable result (the job must then be re-run).
+// loadResult reads a result document an older server stored under
+// results/<key>.json; ok is false when there is none (the job must then be
+// re-run). Current servers journal every document inline.
 func (j *journal) loadResult(key string) ([]byte, bool) {
 	doc, err := os.ReadFile(filepath.Join(resultsDir(j.dir), key+".json"))
 	if err != nil || len(doc) == 0 {

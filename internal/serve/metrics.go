@@ -45,7 +45,8 @@ type Metrics struct {
 //	              deadline-aware shedding
 //	sagmetrics/9  breaker_state and breaker_trips_total dropped with the
 //	              degrade circuit breaker
-const metricsSchema = "sagmetrics/9"
+//	sagmetrics/10 journal_fsyncs_total added with the group-commit journal
+const metricsSchema = "sagmetrics/10"
 
 // seriesPrefix turns a /metrics JSON key into its Prometheus series name.
 const seriesPrefix = "sag_"
@@ -86,10 +87,11 @@ func (s *Server) metricsRegistry() *obs.Registry {
 	counter("solver_retries_total", "Degradation-ladder stage retries.", core.TotalRetries)
 	counter("solver_fallbacks_total", "Degradation-ladder fallback activations.", core.TotalFallbacks)
 	counter("faults_injected_total", "Fired fault-injection rules.", fault.FiredTotal)
-	counter("journal_errors", "Journal append/compact/result-file failures (never fail the job).", m.JournalErrors.Load)
+	counter("journal_errors", "Journal write/fsync/compact failures (never fail the job).", m.JournalErrors.Load)
 	counter("journal_restored_jobs", "Jobs restored to a terminal state from the journal.", m.JournalRestored.Load)
 	counter("journal_replayed_jobs", "Journaled unfinished jobs re-submitted at startup.", m.JournalReplayed.Load)
 	counter("journal_corrupt_records", "Mid-file journal records quarantined at startup (a torn final line is not counted).", m.JournalCorrupt.Load)
+	counter("journal_fsyncs_total", "Journal fsyncs: group commits (one per batch of waiting records) and compactions.", s.journalFsyncs)
 	gauge("job_queue_depth", "Jobs queued but not yet running.", func() int64 { return int64(s.pool.Len()) })
 	gauge("flight_records", "Completed-job records currently retained by the flight recorder.", func() int64 {
 		return int64(s.flight.Len())

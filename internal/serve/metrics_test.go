@@ -88,10 +88,10 @@ func fetchMetricsProm(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
-// metricsKeysV9 is the sagmetrics/9 wire contract: every key of the /metrics
+// metricsKeysV10 is the sagmetrics/10 wire contract: every key of the /metrics
 // JSON document, in order. Adding, renaming or reordering a key changes the
 // schema and must bump metricsSchema.
-var metricsKeysV9 = []string{
+var metricsKeysV10 = []string{
 	"schema",
 	"jobs_accepted", "jobs_rejected", "jobs_completed", "jobs_failed", "jobs_cancelled",
 	"jobs_panicked", "jobs_degraded", "rate_limited_total",
@@ -101,6 +101,7 @@ var metricsKeysV9 = []string{
 	"solve_micros_total", "solves", "bb_nodes_total", "panics_recovered",
 	"solver_retries_total", "solver_fallbacks_total", "faults_injected_total",
 	"journal_errors", "journal_restored_jobs", "journal_replayed_jobs", "journal_corrupt_records",
+	"journal_fsyncs_total",
 	"job_queue_depth", "flight_records", "progress_streams_total",
 }
 
@@ -128,8 +129,8 @@ func TestMetricsExpositionsAgree(t *testing.T) {
 	jsonVals, order := fetchMetricsJSON(t, ts.URL)
 	promVals := fetchMetricsProm(t, ts.URL)
 
-	if !slices.Equal(order, metricsKeysV9) {
-		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV9)
+	if !slices.Equal(order, metricsKeysV10) {
+		t.Fatalf("metrics key order =\n%v\nwant the %s order\n%v", order, metricsSchema, metricsKeysV10)
 	}
 	if got := jsonVals["schema"]; got != json.Number(strconv.Quote(metricsSchema)) {
 		t.Errorf("schema = %s, want %q", got, metricsSchema)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -306,9 +305,10 @@ func TestZoneTimeoutTruncationNeverCached(t *testing.T) {
 	// A per-zone wall-clock budget that expires mid-search yields a
 	// load-dependent result (truncated incumbent, or heuristic fallback when
 	// no incumbent exists). Such a result must reach the client marked
-	// degraded but never the content-addressed cache or results directory —
-	// a transient timeout under machine load must not be replayed as the
-	// canonical answer for that content address.
+	// degraded but never the content-addressed cache, in this life or, from
+	// its inline journal copy, the next — a transient timeout under machine
+	// load must not be replayed as the canonical answer for that content
+	// address.
 	dir := t.TempDir()
 	armFault(t, "milp.node=delay:d=20ms") // outlast the 1ms zone budget before the first node
 	s := newTestServer(t, Options{DataDir: dir})
@@ -332,9 +332,6 @@ func TestZoneTimeoutTruncationNeverCached(t *testing.T) {
 	if !rd.Degraded {
 		t.Fatalf("zone-timeout result not marked degraded: %s", doc)
 	}
-	if entries, _ := os.ReadDir(filepath.Join(dir, "results")); len(entries) != 0 {
-		t.Fatalf("timing-dependent result persisted to results/: %d files", len(entries))
-	}
 	if m := s.MetricsSnapshot(); m["cache_entries"] != 0 {
 		t.Fatalf("timing-dependent result entered the cache (%d entries)", m["cache_entries"])
 	}
@@ -349,20 +346,50 @@ func TestZoneTimeoutTruncationNeverCached(t *testing.T) {
 	if m := s.MetricsSnapshot(); m["cache_hits"] != 0 {
 		t.Fatalf("truncated result served from cache (%d hits)", m["cache_hits"])
 	}
+
+	// Nor may a restart put it in the cache from its inline journal copy.
+	if err := shutdownNow(t, s, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	requireDegradedStaysUncached(t, dir, job.ID, req)
+}
+
+// requireDegradedStaysUncached restarts on dir and asserts that the
+// degraded job id is restored while its document stays out of the cache:
+// the cache is empty and req, resubmitted, is a miss.
+func requireDegradedStaysUncached(t *testing.T, dir, id string, req SolveRequest) {
+	t.Helper()
+	b := newTestServer(t, Options{DataDir: dir})
+	if _, ok := b.Job(id); !ok {
+		t.Fatalf("degraded job %s missing after restart", id)
+	}
+	if m := b.MetricsSnapshot(); m["cache_entries"] != 0 {
+		t.Fatalf("cache_entries = %d after restoring degraded jobs, want 0", m["cache_entries"])
+	}
+	again, err := b.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, again, 60*time.Second)
+	if again.status().CacheHit {
+		t.Fatal("a restored degraded document answered a resubmission from the cache")
+	}
 }
 
 func TestDegradedResultSurvivesRestartInlineOnly(t *testing.T) {
-	// A degraded result is journaled inline (never content-addressed): the
-	// restart restores the job's document but leaves the cache empty.
+	// A degraded result is journaled inline like every result but never
+	// cached: the restart restores the job's document and reads its degraded
+	// field to keep it out of the cache.
 	dir := t.TempDir()
 	a := newTestServer(t, Options{DataDir: dir})
-	job, err := a.Submit(SolveRequest{
+	req := SolveRequest{
 		Scenario: bigScenario(t),
 		Options: SolveOptions{
 			Coverage: "IAC", MaxZoneSS: 64, MaxNodes: 1 << 30,
 			ZoneTimeoutMS: 600_000, TimeoutMS: 50,
 		},
-	})
+	}
+	job, err := a.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +398,8 @@ func TestDegradedResultSurvivesRestartInlineOnly(t *testing.T) {
 	if state != StateDone {
 		t.Fatalf("degraded job finished %v (err %q)", state, job.status().Error)
 	}
-	if entries, _ := os.ReadDir(filepath.Join(dir, "results")); len(entries) != 0 {
-		t.Fatalf("degraded result leaked into results/: %d files", len(entries))
+	if m := a.MetricsSnapshot(); m["cache_entries"] != 0 {
+		t.Fatalf("degraded result entered the cache (%d entries)", m["cache_entries"])
 	}
 	if err := shutdownNow(t, a, 30*time.Second); err != nil {
 		t.Fatal(err)
@@ -387,7 +414,8 @@ func TestDegradedResultSurvivesRestartInlineOnly(t *testing.T) {
 	if gotState != StateDone || !bytes.Equal(gotDoc, doc) {
 		t.Fatalf("restored degraded job: state %v, identical %v", gotState, bytes.Equal(gotDoc, doc))
 	}
-	if m := b.MetricsSnapshot(); m["cache_entries"] != 0 {
-		t.Errorf("cache_entries = %d after restoring a degraded job, want 0", m["cache_entries"])
+	if err := shutdownNow(t, b, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
+	requireDegradedStaysUncached(t, dir, job.ID, req)
 }

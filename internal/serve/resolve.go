@@ -44,8 +44,15 @@ func (s *Server) Resolve(req ResolveRequest) (*Job, error) {
 }
 
 // ResolveFrom is Resolve with a client identity for per-client rate
-// limiting; an empty client is never limited.
+// limiting; an empty client is never limited. Like SubmitFrom, it returns
+// once the job's journal records are durable.
 func (s *Server) ResolveFrom(client string, req ResolveRequest) (*Job, error) {
+	return s.durable(s.resolve(client, req))
+}
+
+// resolve is ResolveFrom's body; like submit, it leaves the sync to its
+// caller.
+func (s *Server) resolve(client string, req ResolveRequest) (*Job, error) {
 	if req.Delta == nil {
 		return nil, fmt.Errorf("serve: %w: resolve request has no delta", scenario.ErrBadDelta)
 	}

@@ -6,11 +6,11 @@
 // byte-identical result document and no solver work.
 //
 // With Options.DataDir set the server is also durable: every job lifecycle
-// transition is appended to a JSONL write-ahead journal and finished results
-// are stored content-addressed on disk, so a crashed or killed server
-// replays its journal on the next start — completed jobs are served again
-// byte-identically without re-solving, and jobs that were queued or running
-// when the process died are re-run to a terminal state (at-least-once).
+// transition is appended to a JSONL write-ahead journal, finished result
+// documents inline, so a crashed or killed server replays its journal on the
+// next start — completed jobs are served again byte-identically without
+// re-solving, and jobs that were queued or running when the process died
+// are re-run to a terminal state (at-least-once).
 package serve
 
 import (
@@ -75,11 +75,12 @@ type Options struct {
 	// forgotten beyond it (default 1024).
 	MaxJobs int
 	// DataDir, when non-empty, enables the durable job journal: lifecycle
-	// records are appended to <DataDir>/journal.jsonl and finished results
-	// stored under <DataDir>/results/. On startup the journal is replayed —
-	// finished jobs are restored (and served without re-solving), while jobs
-	// the previous process never finished are re-run. Empty means fully
-	// in-memory operation, as before.
+	// records and finished result documents are appended to
+	// <DataDir>/journal.jsonl (<DataDir>/results/ is only read, for data dirs
+	// of older servers). On startup the journal is replayed — finished jobs
+	// are restored (and served without re-solving), while jobs the previous
+	// process never finished are re-run. Empty means fully in-memory
+	// operation, as before.
 	DataDir string
 	// ZoneCacheEntries bounds the zone store of coverage placements shared
 	// by every job of this server (default 1024 entries).
@@ -237,31 +238,81 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// jappend writes a journal record when the journal is enabled. A journal
-// write failure must not fail the job — the solve result is still correct —
-// so it only counts a journal error.
-func (s *Server) jappend(r jrec) {
+// jpending is written journal lines awaiting durability: the position they
+// end at (0 when nothing was written) and their journal span.
+type jpending struct {
+	pos  int64
+	span *obs.Span
+}
+
+// jwrite writes records in one write when the journal is enabled, opening a
+// "journal" span under parent (nil-safe) that jsync ends once the lines are
+// durable. A journal failure must not fail the job — the solve result is
+// still correct — so it only counts a journal error.
+func (s *Server) jwrite(parent *obs.Span, recs ...jrec) jpending {
 	if s.journal == nil {
+		return jpending{}
+	}
+	sp := parent.StartChild("journal")
+	pos, n, err := s.journal.write(recs...)
+	if err != nil {
+		s.metrics.JournalErrors.Add(1)
+		sp.End()
+		return jpending{}
+	}
+	sp.SetInt("records", int64(len(recs)))
+	sp.SetInt("bytes", int64(n))
+	return jpending{pos: pos, span: sp}
+}
+
+// jsync blocks until the journal's group commit has made p durable.
+func (s *Server) jsync(p jpending) {
+	if p.pos == 0 {
 		return
 	}
-	if err := s.journal.append(r); err != nil {
+	led, err := s.journal.sync(p.pos)
+	if err != nil {
 		s.metrics.JournalErrors.Add(1)
 	}
+	p.span.SetBool("led", led)
+	p.span.End()
+}
+
+// finishJob makes a job's terminal record durable, then finishes the job:
+// nobody can see a terminal state that a crash could still take back.
+func (s *Server) finishJob(job *Job, r jrec, state JobState) {
+	s.jsync(s.jwrite(job.traceRoot(), r))
+	job.finish(state, nil, r.Err)
+}
+
+// journalFsyncs reads the journal's fsync count; 0 without a journal.
+func (s *Server) journalFsyncs() int64 {
+	if s.journal == nil {
+		return 0
+	}
+	return s.journal.fsyncs.Load()
 }
 
 // replay folds the journal records left by the previous process into the
 // job table: jobs with a durable terminal state are restored as-is (done
-// jobs load their result document — and feed the cache — from results/, or
-// from the inline copy journaled for degraded results), and every other
+// jobs take their result document from their own record, from an earlier
+// doc-bearing record of the same key, or from an older server's results/
+// file; documents that are not degraded feed the cache), and every other
 // journaled job is re-submitted to the pool under a fresh deadline, keeping
-// its original ID. The journal is compacted to the retained state before
-// the re-runs start appending to it.
+// its original ID. The journal is compacted to the retained state, every
+// done job with its document inline, before the re-runs start appending.
 func (s *Server) replay(recs []jrec) {
 	type folded struct {
 		submit jrec
 		term   *jrec // first terminal record, nil while the job owes a run
+		// doc is a done job's document: its record's own, or for a
+		// key-only record the latest cacheable document of its key
+		// journaled before it; nil when there was none.
+		doc       json.RawMessage
+		cacheable bool
 	}
 	byID := make(map[string]*folded)
+	latest := make(map[string]json.RawMessage) // key -> latest cacheable document so far
 	var order []string
 	var maxSeq, maxBSeq int64
 	var batchRecs []jrec
@@ -285,6 +336,10 @@ func (s *Server) replay(recs []jrec) {
 			}
 			continue
 		}
+		cacheable := r.T == recDone && len(r.Doc) > 0 && !docDegraded(r.Doc)
+		if cacheable && r.Key != "" {
+			latest[r.Key] = r.Doc
+		}
 		f, ok := byID[r.ID]
 		if !ok || f.term != nil {
 			continue // torn history or duplicate terminal; first wins
@@ -296,6 +351,12 @@ func (s *Server) replay(recs []jrec) {
 		}
 		// Any other record (an older server's start or interrupt) leaves
 		// the job pending: it owes a re-run.
+		if r.T == recDone {
+			f.doc, f.cacheable = r.Doc, cacheable
+			if len(r.Doc) == 0 {
+				f.doc, f.cacheable = latest[f.submit.Key], true
+			}
+		}
 	}
 	s.seq = maxSeq
 	s.bseq = maxBSeq
@@ -333,18 +394,19 @@ func (s *Server) replay(recs []jrec) {
 				restore(job, StateCancelled, nil, jrec{T: recCancel, ID: id, Err: f.term.Err})
 				continue
 			case recDone:
-				if len(f.term.Doc) > 0 {
-					// Degraded result, journaled inline.
-					restore(job, StateDone, []byte(f.term.Doc), jrec{T: recDone, ID: id, Key: job.Key, Doc: f.term.Doc})
+				doc, cacheable := []byte(f.doc), f.cacheable
+				if doc == nil {
+					doc, cacheable = s.journal.loadResult(job.Key)
+				}
+				if len(doc) > 0 {
+					if cacheable {
+						s.cache.Add(job.Key, doc)
+					}
+					restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key, Doc: doc})
 					continue
 				}
-				if doc, ok := s.journal.loadResult(job.Key); ok {
-					s.cache.Add(job.Key, doc)
-					restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key})
-					continue
-				}
-				// done record without its result file (lost or deleted):
-				// fall through and re-run the job.
+				// A key-only done record whose document is nowhere (an older
+				// server's results file lost or deleted): re-run the job.
 			}
 		}
 
@@ -364,7 +426,7 @@ func (s *Server) replay(recs []jrec) {
 			// this one too. Its records are durable already, so this is a
 			// restore, not a fresh answer from the cache.
 			job.markCacheHit()
-			restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key})
+			restore(job, StateDone, doc, jrec{T: recDone, ID: id, Key: job.Key, Doc: doc})
 			continue
 		}
 		pending = append(pending, &submission{sc: req.Scenario, opts: opts, cfg: cfg, job: job})
@@ -413,20 +475,34 @@ func (s *Server) replay(recs []jrec) {
 
 // Submit validates, content-addresses and enqueues one solve request. A
 // cache hit returns an already-done job without touching the solver. The
-// error is ErrShuttingDown, ErrQueueFull, or a validation error from the
-// scenario or options (the HTTP layer maps these to 503, 429 and 400).
+// job's journal records are durable when Submit returns. The error is
+// ErrShuttingDown, ErrQueueFull, or a validation error from the scenario or
+// options (the HTTP layer maps these to 503, 429 and 400).
 func (s *Server) Submit(req SolveRequest) (*Job, error) {
-	return s.submit("", req)
+	return s.SubmitFrom("", req)
 }
 
 // SubmitFrom is Submit with a client identity for per-client rate limiting
 // (the HTTP layer passes the API key or remote address). An empty client is
 // never rate limited.
 func (s *Server) SubmitFrom(client string, req SolveRequest) (*Job, error) {
-	return s.submit(client, req)
+	return s.durable(s.submit(client, req))
 }
 
-// submit is SubmitFrom's body, shared with the resolve path.
+// durable passes submit's results through once the job's submit record is
+// durable.
+func (s *Server) durable(job *Job, err error) (*Job, error) {
+	if err == nil {
+		s.jsync(jpending{pos: job.submitPos})
+	}
+	return job, err
+}
+
+// submit is SubmitFrom's body, shared with the resolve path and the HTTP
+// handlers. A cold job's submit record is written but not yet durable: the
+// caller syncs before it promises anything (see durable), and a ?wait=1
+// answer needs no sync of its own, since the fsync of the job's terminal
+// record covers the submit written before it.
 func (s *Server) submit(client string, req SolveRequest) (*Job, error) {
 	if req.Scenario == nil {
 		return nil, fmt.Errorf("serve: request has no scenario")
@@ -526,10 +602,13 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	}
 
 	// Every job records a span tree: the "job" root plus the solver's own
-	// stage spans, serialized into the result document's trace field.
+	// stage spans, serialized into the result document's trace field, and
+	// the "journal" span of its terminal record. The root ends when the job
+	// finishes; the flight record keeps the whole tree.
 	tr := obs.NewTrace("job")
 	tr.Root().SetAttr("job_id", job.ID)
 	ctx = obs.WithTrace(ctx, tr)
+	job.setTrace(tr)
 
 	// Every job runs through the shared zone store: full solves populate
 	// it, repeat or delta'd scenarios splice zone placements from it.
@@ -543,8 +622,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	start := time.Now()
 	sol, err := core.Run(ctx, sc, cfg)
 	elapsed := time.Since(start)
-	tr.Finish()
-	job.setTrace(tr.Doc())
 	jobLatencySeconds.Observe(elapsed.Seconds())
 
 	if err != nil {
@@ -563,14 +640,17 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveMicros.Add(elapsed.Microseconds())
 	s.metrics.JobsCompleted.Add(1)
+	// The done record carries the document and is written before the cache
+	// sees it: a hit's key-only done record always follows the bytes it
+	// names in the journal, so any fsync covering the hit covers them too.
+	p := s.jwrite(tr.Root(), jrec{T: recDone, ID: job.ID, Key: job.Key, Doc: doc})
 	if sol.Degraded {
 		// Degraded results are timing-dependent (which stage fell back
 		// depends on when the deadline hit), so they may not enter the
-		// content-addressed cache or results directory — both promise
-		// byte-identical replay. The journal carries the document inline so
-		// a restart can still serve this job's result.
+		// content-addressed cache, which promises byte-identical replay;
+		// replay reads the document's degraded field and keeps it out too.
 		s.metrics.JobsDegraded.Add(1)
-		s.jappend(jrec{T: recDone, ID: job.ID, Key: job.Key, Doc: doc})
+		s.jsync(p)
 		job.finish(StateDone, doc, "")
 		s.log.Warn("job done degraded", obs.LogJobID, job.ID,
 			"elapsed_ms", elapsed.Milliseconds(), "degraded", true)
@@ -578,14 +658,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 		return
 	}
 	s.cache.Add(job.Key, doc)
-	if s.journal != nil {
-		// Result file before the done record: a done in the WAL promises a
-		// loadable result (a crash between the two replays the job instead).
-		if err := s.journal.writeResult(job.Key, doc); err != nil {
-			s.metrics.JournalErrors.Add(1)
-		}
-		s.jappend(jrec{T: recDone, ID: job.ID, Key: job.Key})
-	}
+	s.jsync(p)
 	job.finish(StateDone, doc, "")
 	s.log.Info("job done", obs.LogJobID, job.ID, "elapsed_ms", elapsed.Milliseconds())
 	s.recordFlight(job, "done", false, false)
@@ -594,8 +667,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, sc *scenario.Scenario, cf
 // failJob finishes a job as failed, with the journal and counters agreeing.
 func (s *Server) failJob(job *Job, msg string) {
 	s.metrics.JobsFailed.Add(1)
-	s.jappend(jrec{T: recFail, ID: job.ID, Err: msg})
-	job.finish(StateFailed, nil, msg)
+	s.finishJob(job, jrec{T: recFail, ID: job.ID, Err: msg}, StateFailed)
 	s.log.Error("job failed", obs.LogJobID, job.ID, "error", msg)
 	s.recordFlight(job, "failed", true, false)
 }
@@ -611,8 +683,7 @@ func (s *Server) cancelJob(job *Job, msg string) {
 		s.log.Info("job interrupted by shutdown", obs.LogJobID, job.ID)
 		return
 	}
-	s.jappend(jrec{T: recCancel, ID: job.ID, Err: msg})
-	job.finish(StateCancelled, nil, msg)
+	s.finishJob(job, jrec{T: recCancel, ID: job.ID, Err: msg}, StateCancelled)
 	s.log.Info("job cancelled", obs.LogJobID, job.ID, "error", msg)
 	s.recordFlight(job, "cancelled", true, false)
 }
@@ -710,7 +781,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancelAll()
 	s.pool.Close()
 	if s.journal != nil {
-		s.journal.close()
+		if cerr := s.journal.close(); cerr != nil {
+			s.metrics.JournalErrors.Add(1)
+		}
 	}
 	return err
 }

@@ -110,24 +110,38 @@ func (s *Server) armJob(sub *submission) {
 }
 
 // answerFromCache finishes a published cache-hit job with the cached
-// document. Cached documents always have a durable twin under results/ when
-// the journal is on, so submit+done suffices for replay.
+// document once its records are durable: one write, one fsync.
 func (s *Server) answerFromCache(sub *submission) {
+	s.jsync(s.journalHit(sub))
+	s.finishHit(sub)
+}
+
+// journalHit counts a published cache-hit job and writes its submit and
+// key-only done lines in one write. Every cached document was journaled
+// inline before it entered the cache, so the lines only name its key; the
+// caller makes them durable before finishHit answers the job.
+func (s *Server) journalHit(sub *submission) jpending {
 	job := sub.job
 	s.metrics.JobsAccepted.Add(1)
 	s.metrics.CacheHits.Add(1)
 	s.metrics.JobsCompleted.Add(1)
 	job.markCacheHit()
-	s.jappend(jrec{T: recSubmit, ID: job.ID, Key: job.Key})
-	s.jappend(jrec{T: recDone, ID: job.ID, Key: job.Key})
+	return s.jwrite(nil, jrec{T: recSubmit, ID: job.ID, Key: job.Key}, jrec{T: recDone, ID: job.ID, Key: job.Key})
+}
+
+// finishHit answers a journaled cache-hit job with the cached document.
+func (s *Server) finishHit(sub *submission) {
+	job := sub.job
 	job.finish(StateDone, sub.doc, "")
 	s.log.Info("job done from cache", obs.LogJobID, job.ID, obs.LogClient, job.client, "key", job.Key)
 	s.recordFlight(job, "cache_hit", false, false)
 }
 
-// journalSubmit counts a published cache-miss job and journals its full
+// journalSubmit counts a published cache-miss job and writes its full
 // request before the pool can run it: the WAL must know about a job before
-// any of its later records, and before the client is told it was accepted.
+// any of its later records. The line is not yet durable; its position is
+// the job's submitPos, which the caller syncs before telling the client the
+// job was accepted.
 func (s *Server) journalSubmit(sub *submission) error {
 	s.metrics.CacheMisses.Add(1)
 	if s.journal == nil {
@@ -137,7 +151,7 @@ func (s *Server) journalSubmit(sub *submission) error {
 	if err != nil {
 		return s.refuse(sub.job, fmt.Errorf("serve: encode request for journal: %w", err))
 	}
-	s.jappend(jrec{T: recSubmit, ID: sub.job.ID, Key: sub.job.Key, Req: reqBytes})
+	sub.job.submitPos = s.jwrite(nil, jrec{T: recSubmit, ID: sub.job.ID, Key: sub.job.Key, Req: reqBytes}).pos
 	return nil
 }
 
@@ -163,9 +177,7 @@ func (s *Server) enqueue(sub *submission, submit func(func()) error) error {
 func (s *Server) refuse(job *Job, err error) error {
 	job.cancelNow()
 	s.removeJob(job.ID)
-	msg := "rejected: " + err.Error()
-	s.jappend(jrec{T: recCancel, ID: job.ID, Err: msg})
-	job.finish(StateCancelled, nil, msg)
+	s.finishJob(job, jrec{T: recCancel, ID: job.ID, Err: "rejected: " + err.Error()}, StateCancelled)
 	s.metrics.JobsRejected.Add(1)
 	if errors.Is(err, par.ErrPoolClosed) {
 		return ErrShuttingDown
